@@ -21,6 +21,7 @@
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "delayspace/datasets.hpp"
@@ -422,25 +423,43 @@ inline double best_ms(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+/// Min, mean and (max-min)/min relative spread of per-rep timings.
+inline Timing summarize_ms(const std::vector<double>& samples) {
+  Timing t;
+  t.reps = static_cast<int>(samples.size());
+  if (samples.empty()) return t;
+  const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+  double sum = 0.0;
+  for (const double ms : samples) sum += ms;
+  t.best_ms = *lo;
+  t.mean_ms = sum / static_cast<double>(samples.size());
+  t.spread = *lo > 0.0 ? (*hi - *lo) / *lo : 0.0;
+  return t;
+}
+
 /// best_ms plus dispersion: runs fn `reps` times and keeps min, mean and
 /// the (max-min)/min relative spread. The min is what the regression gate
 /// compares (least contaminated by scheduler noise); the spread is how a
 /// reader judges whether the box was quiet.
 inline Timing repeat_ms(int reps, const std::function<void()>& fn) {
-  Timing t;
-  t.reps = reps < 1 ? 1 : reps;
-  double sum = 0.0;
-  double worst = 0.0;
-  t.best_ms = 1e300;
-  for (int r = 0; r < t.reps; ++r) {
-    const double ms = time_ms(fn);
-    sum += ms;
-    t.best_ms = std::min(t.best_ms, ms);
-    worst = std::max(worst, ms);
+  std::vector<double> samples;
+  for (int r = 0; r < std::max(reps, 1); ++r) samples.push_back(time_ms(fn));
+  return summarize_ms(samples);
+}
+
+/// repeat_ms over two workloads timed in alternation (a, b, a, b, ...), so
+/// both see the same machine state — CPU quota, frequency, a neighbour's
+/// load. What a gated ratio of the two timings needs.
+inline std::pair<Timing, Timing> repeat_pair_ms(
+    int reps, const std::function<void()>& fa,
+    const std::function<void()>& fb) {
+  std::vector<double> a;
+  std::vector<double> b;
+  for (int r = 0; r < std::max(reps, 1); ++r) {
+    a.push_back(time_ms(fa));
+    b.push_back(time_ms(fb));
   }
-  t.mean_ms = sum / static_cast<double>(t.reps);
-  t.spread = t.best_ms > 0.0 ? (worst - t.best_ms) / t.best_ms : 0.0;
-  return t;
+  return {summarize_ms(a), summarize_ms(b)};
 }
 
 /// Log-spaced grid (the paper's percentage-penalty CDFs use a log x axis

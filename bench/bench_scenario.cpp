@@ -153,7 +153,7 @@ void emit_scenario_record(tiv::bench::BenchReport& json,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
   flags.get_bool("json", false);  // accepted for uniformity; always JSON
@@ -289,4 +289,8 @@ int main(int argc, char** argv) {
   }
   tiv::obs::SpanTracer::attach(nullptr);
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -1,13 +1,24 @@
 // Severity-engine kernel benchmark: scalar reference vs. the blocked,
-// branch-free kernel, across matrix sizes and thread counts.
+// branch-free kernel, across matrix sizes and thread counts, plus the
+// count-only twin of the blocked scan as an on-machine yardstick.
 //
 // Emits a BenchReport JSON array (meta envelope first) so future PRs can
 // track the trajectory:
 //   [{"section":"meta","schema_version":1,"bench":"bench_severity_kernel",...},
 //    {"section":"kernel","n":1024,"threads":1,"missing_fraction":0.1,
-//     "scalar_ms":..., "blocked_ms":..., "speedup":..., "max_rel_err":...,
+//     "scalar_ms":..., "blocked_ms":..., "count_ms":...,
+//     "ratio_over_count":..., "speedup":..., "max_rel_err":...,
 //     "witness_ops":..., "bytes_touched":..., "gops_per_s":..., "gb_per_s":...},
 //    ...]
+//
+// count_ms times the exact violating_triangle_fraction(0): the same tiled
+// pair loop over the same packed view as blocked_ms (all_severities), with
+// the same row traffic, but 32-bit integer count lanes in place of the
+// per-witness ratio term. ratio_over_count = blocked_ms / count_ms is
+// therefore what the ratio term costs beyond the memory-bound scan. Both
+// timings come from the same process on the same machine, so the ratio
+// carries across hardware where absolute milliseconds do not; it is the
+// gate that keeps the kernel off the divider.
 //
 // The roofline fields are algorithmic, not cache-measured: the severity
 // kernel examines every witness k for every pair (i,j), so
@@ -18,7 +29,7 @@
 // without hardware counters.
 //
 // Flags:
-//   --quick        n in {256, 512} only, 1 repetition (CI smoke run)
+//   --quick        n in {256, 512} only (CI smoke run)
 //   --threads=T    benchmark only thread count T (default: 1, 2, 4, hw)
 //   --missing=F    missing-entry fraction of the synthetic matrix (default
 //                  0.1; the mask trick means it barely matters)
@@ -51,6 +62,7 @@ using tiv::delayspace::HostId;
 
 using tiv::bench::random_matrix;
 using tiv::bench::repeat_ms;
+using tiv::bench::repeat_pair_ms;
 using tiv::bench::Timing;
 
 double max_rel_err(const SeverityMatrix& got, const SeverityMatrix& want) {
@@ -99,7 +111,7 @@ int main(int argc, char** argv) {
   for (const HostId n : sizes) {
     const DelayMatrix m = random_matrix(n, missing, seed);
     const TivAnalyzer analyzer(m);
-    const int reps = quick ? 1 : (n >= 2048 ? 2 : 3);
+    const int reps = n >= 2048 ? 2 : 3;
 
     // Scalar baseline is always single-threaded: it is the seed kernel's
     // per-core cost, the denominator of every speedup below.
@@ -118,8 +130,9 @@ int main(int argc, char** argv) {
     for (const std::size_t threads : thread_counts) {
       tiv::set_parallel_thread_count(threads);
       SeverityMatrix blocked;
-      const Timing t =
-          repeat_ms(reps, [&] { blocked = analyzer.all_severities(); });
+      const auto [t, count] = repeat_pair_ms(
+          reps, [&] { blocked = analyzer.all_severities(); },
+          [&] { (void)analyzer.violating_triangle_fraction(0); });
       const double err = max_rel_err(blocked, ref);
       const double secs = t.best_ms / 1e3;
       json.object()
@@ -133,6 +146,9 @@ int main(int argc, char** argv) {
           .field("blocked_ms", t.best_ms, 3)
           .field("blocked_ms_mean", t.mean_ms, 3)
           .field("blocked_ms_spread", t.spread, 3)
+          .field("count_ms", count.best_ms, 3)
+          .field("ratio_over_count",
+                 count.best_ms > 0 ? t.best_ms / count.best_ms : 0.0, 3)
           .field("speedup", scalar.best_ms / t.best_ms, 3)
           .field_sig("max_rel_err", err, 3)
           .field("witness_ops", static_cast<std::uint64_t>(witness_ops))

@@ -99,7 +99,7 @@ double ms(std::uint64_t later_ns, std::uint64_t earlier_ns) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int monitor_main(int argc, char** argv) {
   using namespace tiv;
   using delayspace::HostId;
   const Flags flags(argc, argv);
@@ -443,4 +443,8 @@ int main(int argc, char** argv) {
               << " (replay with --scenario=" << record_path << ")\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(monitor_main, argc, argv);
 }

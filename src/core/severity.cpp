@@ -114,7 +114,7 @@ EdgeTivStats TivAnalyzer::edge_stats(HostId a, HostId c) const {
     ++stats.witness_count;
     const float detour = d_ab + d_bc;
     if (detour < d_ac && detour > 0.0f) {
-      const double ratio = static_cast<double>(d_ac) / detour;
+      const double ratio = witness_ratio(d_ac, detour);
       ++stats.violation_count;
       ratio_sum += ratio;
       stats.max_ratio = std::max(stats.max_ratio, ratio);
@@ -160,8 +160,8 @@ std::vector<EdgeTivStats> TivAnalyzer::edge_stats_batch(
           }
           // Two vectorized passes over the same L2-resident rows: the ratio
           // sum (bit-identical lanes to the all_severities kernel) and the
-          // count/min-detour scan, from which the max ratio follows by one
-          // division (see witness_violation_minmax).
+          // count/min-detour scan, from which the max ratio follows as one
+          // witness_ratio term (see witness_violation_minmax).
           double acc[kWitnessLanes] = {};
           witness_ratio_accumulate(v.row(a), v.row(c), stride, d_ac, acc);
           const WitnessViolationStats vs =
@@ -170,9 +170,7 @@ std::vector<EdgeTivStats> TivAnalyzer::edge_stats_batch(
           stats.violation_count = vs.count;
           stats.witness_count = v.witness_count(a, c);
           stats.max_ratio =
-              vs.count == 0 ? 0.0
-                            : static_cast<double>(d_ac) /
-                                  static_cast<double>(vs.min_detour);
+              vs.count == 0 ? 0.0 : witness_ratio(d_ac, vs.min_detour);
           stats.severity = ratio_sum / nd;
           stats.mean_ratio =
               stats.violation_count == 0
@@ -255,7 +253,7 @@ std::vector<double> TivAnalyzer::violation_ratios(HostId a, HostId c) const {
     if (d_ab < 0.0f || d_bc < 0.0f) continue;
     const float detour = d_ab + d_bc;
     if (detour < d_ac && detour > 0.0f) {
-      out.push_back(static_cast<double>(d_ac) / detour);
+      out.push_back(witness_ratio(d_ac, detour));
     }
   }
   return out;
@@ -312,7 +310,7 @@ SeverityMatrix TivAnalyzer::all_severities_reference() const {
         if (d_ab < 0.0f || d_bc < 0.0f) continue;
         const float detour = d_ab + d_bc;
         if (detour < d_ac && detour > 0.0f) {
-          ratio_sum += static_cast<double>(d_ac) / detour;
+          ratio_sum += witness_ratio(d_ac, detour);
         }
       }
       sev.set(a, c, static_cast<float>(ratio_sum / nd));

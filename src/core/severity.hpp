@@ -121,9 +121,10 @@ class TivAnalyzer {
 
   /// All-edges severity matrix; O(N^3). Runs the tiled, branch-free kernel
   /// over a packed DelayMatrixView (see docs/PERFORMANCE.md), dynamically
-  /// scheduled over (a, c) tiles of the upper triangle. Matches
-  /// all_severities_reference to within ~1e-7 relative (float-division
-  /// rounding; both round the result to float).
+  /// scheduled over (a, c) tiles of the upper triangle. Both kernels add
+  /// the identical witness_ratio terms (core/witness_kernels.hpp) and
+  /// differ only in summation order, so after both round the result to
+  /// float they agree to within one float ulp.
   /// Pass `view` (a packed view of this matrix) to reuse a view the caller
   /// already built; nullptr packs one locally.
   SeverityMatrix all_severities(const DelayMatrixView* view = nullptr) const;

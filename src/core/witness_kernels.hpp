@@ -25,6 +25,20 @@
 
 namespace tiv::core {
 
+/// The triangulation term d_ac / detour of one violating witness: a
+/// correctly rounded IEEE float division, widened to double for the sum.
+/// This is the single definition every severity path uses — the vector
+/// kernel below and the scalar oracles in severity.cpp alike — so the
+/// scalar and vector terms are identical and only the summation order
+/// differs. Float division runs at several times the vector throughput of
+/// double division, which is what bounds the O(n^3) ratio scan; the ~6e-8
+/// relative rounding of one term is below the float resolution the
+/// SeverityMatrix stores anyway. Rounding is monotone, so the term is
+/// non-increasing in detour (max term == term at the minimum detour).
+inline double witness_ratio(float dac, float detour) {
+  return static_cast<double>(dac / detour);
+}
+
 /// Independent accumulator lanes of the ratio reduction. A divisor of
 /// DelayMatrixView::kLaneFloats, so both the view's row padding and any
 /// tile width that is a multiple of the lane count preserve lane phase.
@@ -43,11 +57,10 @@ inline void witness_ratio_accumulate(const float* ra, const float* rc,
       const float detour = ra[b + l] + rc[b + l];
       const bool violates = (detour < dac) & (detour > 0.0f);
       // Unconditional division with a blended-safe divisor: cheaper than a
-      // branch per witness and keeps the loop if-convertible. Double
-      // division so each term is bit-identical to the scalar reference
+      // branch per witness and keeps the loop if-convertible. The term is
+      // witness_ratio, so it is bit-identical to the scalar oracles' term
       // (only the summation order differs).
-      const double ratio = static_cast<double>(dac) /
-                           (violates ? static_cast<double>(detour) : 1.0);
+      const double ratio = witness_ratio(dac, violates ? detour : 1.0f);
       acc[l] += violates ? ratio : 0.0;
     }
   }
@@ -68,10 +81,10 @@ inline double witness_ratio_reduce(const double* acc) {
 struct WitnessViolationStats {
   std::size_t count = 0;
   /// The edge's own d_ac when count == 0 (callers must gate on count). The
-  /// max triangulation ratio follows in O(1): dac / detour is monotone
-  /// decreasing in detour, so max ratio = dac / min_detour — dividing the
-  /// identical float detour the scalar reference divides, hence
-  /// bit-identical to its running max.
+  /// max triangulation ratio follows in O(1): witness_ratio is monotone
+  /// non-increasing in detour, so max ratio = witness_ratio(dac,
+  /// min_detour) — the identical term of the identical float detour the
+  /// scalar reference takes its running max over, hence bit-identical.
   float min_detour = 0.0f;
 
   /// Exact composition (integer sum, order-free min; an empty chunk's dac
@@ -157,10 +170,13 @@ inline double relay_min_scan(const float* ra, const float* rb,
 /// scan there is no detour > 0 exclusion: a measured zero-length detour
 /// violates the triangle inequality for counting purposes (matches the
 /// scalar violating_triangle_fraction reference). Exact integer math, so
-/// chunked calls sum to the monolithic count in any order.
+/// chunked calls sum to the monolithic count in any order. 32-bit lanes
+/// (the witness_violation_minmax shape) pack twice the lanes per vector of
+/// 64-bit ones; a lane counts at most len / kWitnessLanes witnesses, far
+/// below 2^32 for any view that fits in memory.
 inline std::size_t witness_violation_count(const float* ra, const float* rc,
                                            std::size_t len, float dac) {
-  std::size_t acc[kWitnessLanes] = {};
+  std::uint32_t acc[kWitnessLanes] = {};
   for (std::size_t b = 0; b < len; b += kWitnessLanes) {
     for (std::size_t l = 0; l < kWitnessLanes; ++l) {
       const float detour = ra[b + l] + rc[b + l];

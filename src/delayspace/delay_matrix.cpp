@@ -1,11 +1,14 @@
 #include "delayspace/delay_matrix.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parallel.hpp"
 
 namespace tiv::delayspace {
 
@@ -107,27 +110,34 @@ DelayMatrixView::DelayMatrixView(const DelayMatrix& m) : n_(m.size()) {
   stride_ = view_stride(n_);
   mask_words_ = view_mask_words(n_);
 
-  // 64-byte-aligned delay rows; std::vector gives no alignment guarantee
-  // beyond alignof(float), so over-allocate and align the base by hand.
-  // Aligning the base to the padding granularity is what makes *every* row
-  // start 64-byte aligned (stride_ is a multiple of kLaneFloats).
+  // 64-byte-aligned delay rows; new[] gives no alignment guarantee beyond
+  // alignof(float), so over-allocate and align the base by hand. Aligning
+  // the base to the padding granularity is what makes *every* row start
+  // 64-byte aligned (stride_ is a multiple of kLaneFloats).
   static_assert(kLaneFloats * sizeof(float) == 64,
                 "row alignment contract assumes 64-byte lanes");
-  delay_storage_.assign(static_cast<std::size_t>(n_) * stride_ + kLaneFloats,
-                        kMaskedDelay);
-  auto addr = reinterpret_cast<std::uintptr_t>(delay_storage_.data());
+  // Left uninitialized: every float a row exposes is written below, by the
+  // worker that packs the row, so the fill and the first-touch page faults
+  // spread over the pool instead of running on one thread. The alignment
+  // slack outside the rows is never read.
+  delay_storage_ = std::make_unique_for_overwrite<float[]>(
+      static_cast<std::size_t>(n_) * stride_ + kLaneFloats);
+  auto addr = reinterpret_cast<std::uintptr_t>(delay_storage_.get());
   const std::size_t misalign =
       (addr / sizeof(float)) % kLaneFloats == 0
           ? 0
           : kLaneFloats - (addr / sizeof(float)) % kLaneFloats;
-  delays_ = delay_storage_.data() + misalign;
+  delays_ = delay_storage_.get() + misalign;
 
   masks_.assign(static_cast<std::size_t>(n_) * mask_words_, 0);
-  for (HostId i = 0; i < n_; ++i) {
-    pack_row_segment(m, i, 0, n_, delays_ + i * stride_,
+  // Rows are independent: pack_row_segment writes only row i's floats and
+  // mask words.
+  parallel_for(n_, [&](std::size_t i) {
+    float* row = delays_ + i * stride_;
+    std::fill(row + n_, row + stride_, kMaskedDelay);  // padding columns
+    pack_row_segment(m, static_cast<HostId>(i), 0, n_, row,
                      masks_.data() + i * mask_words_);
-    // padding columns [n_, stride_) already hold kMaskedDelay
-  }
+  });
 }
 
 void DelayMatrixView::pack_row_segment(const DelayMatrix& m, HostId i,

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -166,8 +167,8 @@ class DelayMatrixView {
   HostId n_ = 0;
   std::size_t stride_ = 0;
   std::size_t mask_words_ = 0;
-  std::vector<float> delay_storage_;  ///< over-allocated for alignment
-  float* delays_ = nullptr;           ///< 64-byte aligned base
+  std::unique_ptr<float[]> delay_storage_;  ///< over-allocated for alignment
+  float* delays_ = nullptr;                 ///< 64-byte aligned base
   std::vector<std::uint64_t> masks_;
 };
 

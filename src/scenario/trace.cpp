@@ -167,6 +167,13 @@ DelayTrace DelayTrace::load(const std::string& path) {
                       family_len);
   cur.off += family_len;
   const std::uint32_t epoch_count = cur.u32();
+  // Every epoch holds at least its two u32 event counts: validate before
+  // the resize, as read_events does, so a corrupt count cannot balloon the
+  // allocation.
+  if (static_cast<std::uint64_t>(epoch_count) * 2 * sizeof(std::uint32_t) >
+      cur.size - cur.off) {
+    fail_format("epoch count overruns file", path);
+  }
   trace.epochs.resize(epoch_count);
   for (auto& epoch : trace.epochs) {
     const std::uint32_t tc = cur.u32();

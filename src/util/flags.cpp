@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
+#include <iostream>
 #include <stdexcept>
 
 namespace tiv {
@@ -96,6 +97,15 @@ void reject_unknown_flags(const Flags& flags) {
   std::string msg = "unknown flag(s):";
   for (const auto& name : unknown) msg += " --" + name;
   throw std::invalid_argument(msg);
+}
+
+int run_main(int (*body)(int, char**), int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace tiv

@@ -44,4 +44,10 @@ class Flags {
 /// Throws std::invalid_argument listing any flag that was never queried.
 void reject_unknown_flags(const Flags& flags);
 
+/// Runs a binary's main body and turns an escaping std::exception (an
+/// unknown flag, an unwritable --dir, ...) into "error: <what>" on stderr
+/// and exit status 1, instead of std::terminate's abort:
+///   int main(int argc, char** argv) { return tiv::run_main(run, argc, argv); }
+int run_main(int (*body)(int, char**), int argc, char** argv);
+
 }  // namespace tiv

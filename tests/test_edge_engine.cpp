@@ -11,8 +11,11 @@
 //    all_severities kernel's per-edge values, and both hold on dense,
 //    30%-missing, missing-heavy, and tiny (n < 8) matrices;
 //  - a caller-provided prebuilt view produces the same results as the
-//    locally built one.
+//    locally built one;
+//  - every scalar oracle and kernel path computes the one witness_ratio
+//    triangulation term (float division widened to double).
 #include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -21,8 +24,11 @@
 
 #include "core/edge_sampling.hpp"
 #include "core/severity.hpp"
+#include "core/witness_kernels.hpp"
+#include "delayspace/datasets.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "matrix_test_utils.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace tiv::core {
@@ -228,6 +234,108 @@ TEST(EdgeStatsBatch, AllSeveritiesAcceptsPrebuiltView) {
       EXPECT_EQ(with_view.at(i, j), self_built.at(i, j));
     }
   }
+}
+
+// --- One triangulation term on every path -----------------------------------
+
+/// Checks that every scalar oracle and every kernel computes the same
+/// witness_ratio term: violation_ratios element by element, the batched
+/// max_ratio exactly, all_severities within one float ulp of the scalar
+/// reference (summation order is the only difference), and the exact
+/// triangle fraction equal to a brute-force triple loop.
+void expect_one_term_everywhere(const DelayMatrix& m) {
+  const HostId n = m.size();
+  const TivAnalyzer analyzer(m);
+  const DelayMatrixView view(m);
+  std::vector<std::pair<HostId, HostId>> edges;
+  for (HostId a = 0; a < n; ++a) {
+    for (HostId c = a + 1; c < n; ++c) {
+      if (m.has(a, c)) edges.emplace_back(a, c);
+    }
+  }
+  const auto batch = analyzer.edge_stats_batch(edges, &view);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const auto [a, c] = edges[e];
+    const float d_ac = m.at(a, c);
+    std::vector<double> want;
+    for (HostId b = 0; b < n; ++b) {
+      if (b == a || b == c || !m.has(a, b) || !m.has(b, c)) continue;
+      const float detour = m.at(a, b) + m.at(b, c);
+      if (detour < d_ac && detour > 0.0f) {
+        want.push_back(witness_ratio(d_ac, detour));
+      }
+    }
+    EXPECT_EQ(analyzer.violation_ratios(a, c), want)
+        << "n " << n << " edge (" << a << ", " << c << ")";
+    EXPECT_EQ(batch[e].max_ratio, analyzer.edge_stats(a, c).max_ratio)
+        << "n " << n << " edge (" << a << ", " << c << ")";
+  }
+
+  const SeverityMatrix fast = analyzer.all_severities(&view);
+  const SeverityMatrix ref = analyzer.all_severities_reference();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (HostId a = 0; a < n; ++a) {
+    for (HostId c = a + 1; c < n; ++c) {
+      const float want = ref.at(a, c);
+      const float got = fast.at(a, c);
+      EXPECT_TRUE(got == want || got == std::nextafter(want, inf) ||
+                  got == std::nextafter(want, -inf))
+          << "n " << n << " edge (" << a << ", " << c << "): " << got
+          << " vs " << want;
+    }
+  }
+
+  std::size_t triangles = 0;
+  std::size_t violating = 0;
+  for (HostId a = 0; a < n; ++a) {
+    for (HostId b = a + 1; b < n; ++b) {
+      for (HostId c = b + 1; c < n; ++c) {
+        if (!m.has(a, b) || !m.has(b, c) || !m.has(a, c)) continue;
+        const float ab = m.at(a, b);
+        const float bc = m.at(b, c);
+        const float ac = m.at(a, c);
+        ++triangles;
+        violating += (ab + bc < ac || ab + ac < bc || bc + ac < ab) ? 1 : 0;
+      }
+    }
+  }
+  const double want_fraction =
+      triangles == 0 ? 0.0
+                     : static_cast<double>(violating) /
+                           static_cast<double>(triangles);
+  EXPECT_EQ(analyzer.violating_triangle_fraction(0), want_fraction)
+      << "n " << n;
+}
+
+TEST(TriangulationTerm, IsFloatDivisionWidenedToDouble) {
+  EXPECT_EQ(witness_ratio(1.0f, 3.0f), static_cast<double>(1.0f / 3.0f));
+  EXPECT_NE(witness_ratio(1.0f, 3.0f), 1.0 / 3.0);
+}
+
+TEST(TriangulationTerm, IdenticalOnEveryPathForDs2Preset) {
+  const delayspace::DelaySpace ds =
+      delayspace::make_dataset(delayspace::DatasetId::kDs2, 200);
+  for (const std::size_t threads : {1u, 4u}) {
+    set_parallel_thread_count(threads);
+    expect_one_term_everywhere(ds.measured);
+  }
+  set_parallel_thread_count(0);
+}
+
+TEST(TriangulationTerm, IdenticalOnEveryPathForRandomShapes) {
+  Rng rng(77);
+  for (HostId trial = 0; trial < 16; ++trial) {
+    // n = 0..3 first (no triangle, or a single one), then n in [0, 70].
+    const auto n =
+        trial < 4 ? trial : static_cast<HostId>(rng.uniform_index(71));
+    const double missing = rng.uniform(0.0, 0.6);
+    const DelayMatrix m = random_matrix(n, missing, 500 + trial);
+    for (const std::size_t threads : {1u, 4u}) {
+      set_parallel_thread_count(threads);
+      expect_one_term_everywhere(m);
+    }
+  }
+  set_parallel_thread_count(0);
 }
 
 // --- Sampled triangle fraction accounting -----------------------------------

@@ -5,6 +5,7 @@
 // under-replay soak asserting post-recovery bit-identity.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -19,6 +20,7 @@
 #include "scenario/generators.hpp"
 #include "scenario/replay.hpp"
 #include "scenario/score.hpp"
+#include "shard/checksum.hpp"
 #include "shard/fault_injector.hpp"
 #include "util/rng.hpp"
 
@@ -174,6 +176,34 @@ TEST(TraceFormat, RejectsTornAndCorruptFiles) {
 
   std::filesystem::remove(path);
   EXPECT_THROW(DelayTrace::load(path), std::runtime_error);
+}
+
+TEST(TraceFormat, RejectsHostileEpochCountBeforeAllocating) {
+  // A well-formed empty trace whose epoch count is rewritten to ~4G, with
+  // the FNV-1a trailer recomputed so the checksum passes: the count must
+  // be checked against the remaining bytes before the epochs are sized.
+  DelayTrace trace;
+  trace.hosts = 10;
+  trace.family = "recorded";
+  const std::string path = scratch_path("hostile_epochs");
+  trace.save(path);
+  std::string bytes = read_bytes(path);
+  const std::size_t body = bytes.size() - sizeof(std::uint64_t);
+  const std::uint32_t epoch_count = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + body - sizeof(epoch_count), &epoch_count,
+              sizeof(epoch_count));
+  const std::uint64_t sum = shard::fnv1a(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &sum, sizeof(sum));
+  { std::ofstream(path, std::ios::binary) << bytes; }
+  try {
+    (void)DelayTrace::load(path);
+    ADD_FAILURE() << "hostile epoch count was accepted";
+  } catch (const TraceFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("epoch count overruns file"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(Score, ClassificationCountsMath) {

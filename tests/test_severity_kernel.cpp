@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -185,6 +186,40 @@ TEST(DelayMatrixViewTest, RowsAreCacheLineAligned) {
   for (HostId i = 0; i < m.size(); ++i) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(view.row(i)) % 64, 0u);
   }
+}
+
+TEST(DelayMatrixViewTest, ParallelBuildMatchesRowByRowRepack) {
+  // The constructor packs rows (and their padding) under parallel_for; a
+  // view built from an all-missing matrix at 1 thread and then brought to
+  // `m` by repack_row, one row at a time, must hold the same bytes:
+  // delays, padding and mask words.
+  for (const HostId n : {0u, 1u, 7u, 65u}) {
+    const DelayMatrix m = random_matrix(n, 0.2, 300 + n);
+    set_parallel_thread_count(1);
+    DelayMatrixView repacked{DelayMatrix(n)};
+    for (HostId i = 0; i < n; ++i) repacked.repack_row(m, i);
+    for (const std::size_t threads : {1u, 4u}) {
+      set_parallel_thread_count(threads);
+      const DelayMatrixView built(m);
+      ASSERT_EQ(built.stride(), repacked.stride());
+      ASSERT_EQ(built.mask_words(), repacked.mask_words());
+      for (HostId i = 0; i < n; ++i) {
+        EXPECT_EQ(std::memcmp(built.row(i), repacked.row(i),
+                              built.stride() * sizeof(float)),
+                  0)
+            << "n " << n << " threads " << threads << " row " << i;
+        EXPECT_EQ(std::memcmp(built.mask_row(i), repacked.mask_row(i),
+                              built.mask_words() * sizeof(std::uint64_t)),
+                  0)
+            << "n " << n << " threads " << threads << " mask row " << i;
+        for (std::size_t b = n; b < built.stride(); ++b) {
+          EXPECT_EQ(built.row(i)[b], DelayMatrixView::kMaskedDelay)
+              << "n " << n << " threads " << threads << " padding " << i;
+        }
+      }
+    }
+  }
+  set_parallel_thread_count(0);
 }
 
 TEST(ParallelDynamic, CoversEveryIndexExactlyOnce) {
