@@ -154,7 +154,7 @@ void localized_churn(DelayStream& stream, Rng& rng, HostId span, double t) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
   flags.get_bool("json", false);  // accepted for uniformity; always JSON
@@ -363,4 +363,8 @@ int main(int argc, char** argv) {
   }
   tiv::obs::SpanTracer::attach(nullptr);
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

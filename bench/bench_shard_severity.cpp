@@ -49,6 +49,7 @@ namespace {
 using tiv::core::SeverityMatrix;
 using tiv::core::TivAnalyzer;
 using tiv::delayspace::DelayMatrix;
+using tiv::delayspace::DelayMatrixView;
 using tiv::delayspace::HostId;
 using tiv::shard::TileCache;
 using tiv::shard::TileStore;
@@ -102,7 +103,7 @@ bool run_phase(tiv::bench::JsonArrayWriter& json, const PhaseParams& phase,
       .field("n", phase.n)
       .field("tile_dim", tile_dim)
       .field("budget_bytes", budget_bytes)
-      .field("view_bytes", tiv::core::packed_view_bytes(phase.n))
+      .field("view_bytes", DelayMatrixView::bytes_for(phase.n))
       .field("store_bytes",
              static_cast<std::uint64_t>(std::filesystem::file_size(path)))
       .field("write_ms", write_ms, 3)
@@ -131,7 +132,7 @@ bool run_phase(tiv::bench::JsonArrayWriter& json, const PhaseParams& phase,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
@@ -186,4 +187,8 @@ int main(int argc, char** argv) {
   }
   tiv::set_parallel_thread_count(0);
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

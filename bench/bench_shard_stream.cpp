@@ -123,7 +123,7 @@ std::string scratch_file(const std::string& dir, const std::string& tag) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
   flags.get_bool("json", false);  // accepted for uniformity; always JSON
@@ -301,4 +301,8 @@ int main(int argc, char** argv) {
   }
   tiv::obs::SpanTracer::attach(nullptr);
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

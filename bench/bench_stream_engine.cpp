@@ -96,7 +96,7 @@ std::size_t replay_churn_epoch(DelayStream& stream, Rng& rng,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
   flags.get_bool("json", false);  // accepted for uniformity; always JSON
@@ -245,4 +245,8 @@ int main(int argc, char** argv) {
         .field("bit_mismatches", bit_mismatches(inc.severities(), full));
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -1,11 +1,11 @@
 #include "core/severity.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
+#include <stdexcept>
 
+#include "core/band_pair_driver.hpp"
 #include "core/edge_sampling.hpp"
-#include "core/triangle_schedule.hpp"
 #include "core/witness_kernels.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -13,76 +13,63 @@
 namespace tiv::core {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Blocked, branch-free witness scans over the padded rows of a
-// DelayMatrixView, in which missing entries are kMaskedDelay (huge) and the
-// diagonal is 0. That representation makes every exclusion implicit:
-//   - missing leg:  detour >= kMaskedDelay, never < d_ac
-//   - b == a:       detour == 0 + d_ac    , never < d_ac (strictly)
-//   - b == c:       detour == d_ac + 0    , never < d_ac
-// so the loop body is pure arithmetic + compares, which the compiler
-// auto-vectorizes. The loop bodies live in core/witness_kernels.hpp, shared
-// with the out-of-core streaming driver (shard_severity.cpp), which feeds
-// the same accumulator lanes in tile-sized chunks for bit-identical sums.
-// ---------------------------------------------------------------------------
-
-static_assert(DelayMatrixView::kLaneFloats % kWitnessLanes == 0);
-
-/// Sum over witnesses b of d_ac / (d_ab + d_bc) for violating b
-/// (detour < d_ac, detour > 0) — the unnormalized severity of edge (a, c).
-double pair_ratio_sum(const float* ra, const float* rc, std::size_t stride,
-                      float dac) {
-  double acc[kWitnessLanes] = {};
-  witness_ratio_accumulate(ra, rc, stride, dac, acc);
-  return witness_ratio_reduce(acc);
-}
-
 // Dynamic-scheduling grain for the batched per-edge engine: per-edge cost
 // is one O(stride) row scan, so a handful of edges per claimed chunk keeps
 // dispatch overhead negligible without starving the balancer.
 constexpr std::size_t kEdgeBatchGrain = 8;
 
-/// View selection for a batched per-edge call: a caller-provided view is
-/// already paid for; otherwise the O(N^2) local build only happens when
-/// enough scans amortize it (edges * 4 >= N, the guard sampled_severities
-/// has always used). get() == nullptr means "run the scalar path".
-class BatchView {
- public:
-  BatchView(const DelayMatrix& matrix, const DelayMatrixView* prebuilt,
-            std::size_t batch_size) {
-    if (prebuilt != nullptr) {
-      view_ = prebuilt;
-    } else if (batch_size * 4 >= matrix.size()) {
-      local_.emplace(matrix);
-      view_ = &*local_;
-    }
+void check_view_matches(const DelayMatrix& matrix,
+                        const DelayMatrixView& view) {
+  if (view.size() != matrix.size()) {
+    throw std::invalid_argument(
+        "DelayMatrixView size does not match the analyzer's matrix");
   }
+}
 
-  const DelayMatrixView* get() const { return view_; }
+/// The skeleton of every edge_*_batch: view selection, the scalar fallback
+/// scalar(a, c), dynamic scheduling, and Out{} (all zero) for self and
+/// unmeasured edges. lane(view, a, c, d_ac) computes one measured edge with
+/// the branch-free kernels over the packed view.
+template <typename Out, typename Scalar, typename Lane>
+std::vector<Out> edge_batch(const DelayMatrix& matrix,
+                            std::span<const std::pair<HostId, HostId>> edges,
+                            const DelayMatrixView* view, Scalar&& scalar,
+                            Lane&& lane) {
+  std::vector<Out> out(edges.size());
+  // A caller's view is already paid for; a local O(N^2) build only when
+  // enough scans amortize it (edges * 4 >= N).
+  std::optional<DelayMatrixView> local;
+  if (view != nullptr) {
+    check_view_matches(matrix, *view);
+  } else if (edges.size() * 4 >= matrix.size()) {
+    view = &local.emplace(matrix);
+  } else {
+    parallel_for(edges.size(), [&](std::size_t e) {
+      out[e] = scalar(edges[e].first, edges[e].second);
+    });
+    return out;
+  }
+  const DelayMatrixView& v = *view;
+  parallel_for_dynamic(
+      edges.size(), kEdgeBatchGrain, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t e = begin; e < end; ++e) {
+          const auto [a, c] = edges[e];
+          const float d_ac = v.row(a)[c];
+          out[e] = a == c || d_ac >= DelayMatrixView::kMaskedDelay
+                       ? Out{}
+                       : lane(v, a, c, d_ac);
+        }
+      });
+  return out;
+}
 
- private:
-  std::optional<DelayMatrixView> local_;
-  const DelayMatrixView* view_ = nullptr;
-};
-
-// Tile edge for the blocked (a, c) pair loop. 16 rows of each endpoint keep
-// the working set (2 * 16 padded rows) inside L2 even at n = 8192 while
-// giving each dynamic chunk ~256 * n witnesses of work.
-constexpr std::size_t kTileRows = 16;
-
-/// Runs fn(a_begin, a_end, c_begin, c_end) over all tiles covering the
-/// strict upper triangle (a < c allowed inside the tile; fn must still clamp
-/// c > a), dynamically scheduled so the triangular workload balances.
-template <typename TileFn>
-void for_each_upper_tile(HostId n, TileFn&& fn) {
-  const std::size_t tiles =
-      (static_cast<std::size_t>(n) + kTileRows - 1) / kTileRows;
-  for_each_triangle_pair(tiles, [&](std::size_t ta, std::size_t tc) {
-    fn(static_cast<HostId>(ta * kTileRows),
-       static_cast<HostId>(std::min<std::size_t>((ta + 1) * kTileRows, n)),
-       static_cast<HostId>(tc * kTileRows),
-       static_cast<HostId>(std::min<std::size_t>((tc + 1) * kTileRows, n)));
-  });
+/// witness_ratio_accumulate over one full packed row pair, reduced: the
+/// unnormalized severity, bit-identical to the all_severities cell.
+double full_row_ratio_sum(const DelayMatrixView& v, HostId a, HostId c,
+                          float d_ac) {
+  double acc[kWitnessLanes] = {};
+  witness_ratio_accumulate(v.row(a), v.row(c), v.stride(), d_ac, acc);
+  return witness_ratio_reduce(acc);
 }
 
 }  // namespace
@@ -137,107 +124,54 @@ double TivAnalyzer::edge_severity(HostId a, HostId c) const {
 std::vector<EdgeTivStats> TivAnalyzer::edge_stats_batch(
     std::span<const std::pair<HostId, HostId>> edges,
     const DelayMatrixView* view) const {
-  std::vector<EdgeTivStats> out(edges.size());
-  const BatchView bv(matrix_, view, edges.size());
-  if (bv.get() == nullptr) {
-    parallel_for(edges.size(), [&](std::size_t e) {
-      out[e] = edge_stats(edges[e].first, edges[e].second);
-    });
-    return out;
-  }
-  const DelayMatrixView& v = *bv.get();
-  const std::size_t stride = v.stride();
   const auto nd = static_cast<double>(matrix_.size());
-  parallel_for_dynamic(
-      edges.size(), kEdgeBatchGrain, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t e = begin; e < end; ++e) {
-          const auto [a, c] = edges[e];
-          EdgeTivStats stats;
-          const float d_ac = v.row(a)[c];
-          if (a == c || d_ac >= DelayMatrixView::kMaskedDelay) {
-            out[e] = stats;  // unmeasured edge: all-zero, as in edge_stats
-            continue;
-          }
-          // Two vectorized passes over the same L2-resident rows: the ratio
-          // sum (bit-identical lanes to the all_severities kernel) and the
-          // count/min-detour scan, from which the max ratio follows as one
-          // witness_ratio term (see witness_violation_minmax).
-          double acc[kWitnessLanes] = {};
-          witness_ratio_accumulate(v.row(a), v.row(c), stride, d_ac, acc);
-          const WitnessViolationStats vs =
-              witness_violation_minmax(v.row(a), v.row(c), stride, d_ac);
-          const double ratio_sum = witness_ratio_reduce(acc);
-          stats.violation_count = vs.count;
-          stats.witness_count = v.witness_count(a, c);
-          stats.max_ratio =
-              vs.count == 0 ? 0.0 : witness_ratio(d_ac, vs.min_detour);
-          stats.severity = ratio_sum / nd;
-          stats.mean_ratio =
-              stats.violation_count == 0
-                  ? 0.0
-                  : ratio_sum / static_cast<double>(stats.violation_count);
-          out[e] = stats;
-        }
+  return edge_batch<EdgeTivStats>(
+      matrix_, edges, view,
+      [&](HostId a, HostId c) { return edge_stats(a, c); },
+      [&](const DelayMatrixView& v, HostId a, HostId c, float d_ac) {
+        // Two vectorized passes over the same L2-resident rows: the ratio
+        // sum (the all_severities lanes) and the count/min-detour scan,
+        // from which the max ratio follows as one witness_ratio term (see
+        // witness_violation_minmax).
+        const double ratio_sum = full_row_ratio_sum(v, a, c, d_ac);
+        const WitnessViolationStats vs =
+            witness_violation_minmax(v.row(a), v.row(c), v.stride(), d_ac);
+        EdgeTivStats stats;
+        stats.violation_count = vs.count;
+        stats.witness_count =
+            masked_witness_count(v.mask_row(a), v.mask_row(c), v.mask_words());
+        stats.max_ratio =
+            vs.count == 0 ? 0.0 : witness_ratio(d_ac, vs.min_detour);
+        stats.severity = ratio_sum / nd;
+        stats.mean_ratio =
+            vs.count == 0 ? 0.0
+                          : ratio_sum / static_cast<double>(vs.count);
+        return stats;
       });
-  return out;
 }
 
 std::vector<std::size_t> TivAnalyzer::edge_violation_count_batch(
     std::span<const std::pair<HostId, HostId>> edges,
     const DelayMatrixView* view) const {
-  std::vector<std::size_t> out(edges.size());
-  const BatchView bv(matrix_, view, edges.size());
-  if (bv.get() == nullptr) {
-    parallel_for(edges.size(), [&](std::size_t e) {
-      out[e] = edge_stats(edges[e].first, edges[e].second).violation_count;
-    });
-    return out;
-  }
-  const DelayMatrixView& v = *bv.get();
-  const std::size_t stride = v.stride();
-  parallel_for_dynamic(
-      edges.size(), kEdgeBatchGrain, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t e = begin; e < end; ++e) {
-          const auto [a, c] = edges[e];
-          const float d_ac = v.row(a)[c];
-          if (a == c || d_ac >= DelayMatrixView::kMaskedDelay) {
-            out[e] = 0;
-            continue;
-          }
-          out[e] =
-              witness_violation_minmax(v.row(a), v.row(c), stride, d_ac).count;
-        }
+  return edge_batch<std::size_t>(
+      matrix_, edges, view,
+      [&](HostId a, HostId c) { return edge_stats(a, c).violation_count; },
+      [](const DelayMatrixView& v, HostId a, HostId c, float d_ac) {
+        return witness_violation_minmax(v.row(a), v.row(c), v.stride(), d_ac)
+            .count;
       });
-  return out;
 }
 
 std::vector<double> TivAnalyzer::edge_severity_batch(
     std::span<const std::pair<HostId, HostId>> edges,
     const DelayMatrixView* view) const {
-  std::vector<double> out(edges.size());
-  const BatchView bv(matrix_, view, edges.size());
-  if (bv.get() == nullptr) {
-    parallel_for(edges.size(), [&](std::size_t e) {
-      out[e] = edge_severity(edges[e].first, edges[e].second);
-    });
-    return out;
-  }
-  const DelayMatrixView& v = *bv.get();
-  const std::size_t stride = v.stride();
   const auto nd = static_cast<double>(matrix_.size());
-  parallel_for_dynamic(
-      edges.size(), kEdgeBatchGrain, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t e = begin; e < end; ++e) {
-          const auto [a, c] = edges[e];
-          const float d_ac = v.row(a)[c];
-          if (a == c || d_ac >= DelayMatrixView::kMaskedDelay) {
-            out[e] = 0.0;
-            continue;
-          }
-          out[e] = pair_ratio_sum(v.row(a), v.row(c), stride, d_ac) / nd;
-        }
+  return edge_batch<double>(
+      matrix_, edges, view,
+      [&](HostId a, HostId c) { return edge_severity(a, c); },
+      [&](const DelayMatrixView& v, HostId a, HostId c, float d_ac) {
+        return full_row_ratio_sum(v, a, c, d_ac) / nd;
       });
-  return out;
 }
 
 std::vector<double> TivAnalyzer::violation_ratios(HostId a, HostId c) const {
@@ -262,27 +196,13 @@ std::vector<double> TivAnalyzer::violation_ratios(HostId a, HostId c) const {
 SeverityMatrix TivAnalyzer::all_severities(
     const DelayMatrixView* prebuilt) const {
   const HostId n = matrix_.size();
+  if (prebuilt != nullptr) check_view_matches(matrix_, *prebuilt);
   SeverityMatrix sev(n);
   if (n < 2) return sev;
   std::optional<DelayMatrixView> local;
   if (prebuilt == nullptr) local.emplace(matrix_);
-  const DelayMatrixView& view = prebuilt ? *prebuilt : *local;
-  const std::size_t stride = view.stride();
-  const auto nd = static_cast<double>(n);
-  for_each_upper_tile(n, [&](HostId a_begin, HostId a_end, HostId c_begin,
-                             HostId c_end) {
-    for (HostId a = a_begin; a < a_end; ++a) {
-      const float* row_a = view.row(a);
-      const HostId c_lo = std::max<HostId>(c_begin, a + 1);
-      for (HostId c = c_lo; c < c_end; ++c) {
-        const float d_ac = row_a[c];
-        if (d_ac >= DelayMatrixView::kMaskedDelay) continue;  // unmeasured
-        const double ratio_sum =
-            pair_ratio_sum(row_a, view.row(c), stride, d_ac);
-        sev.set(a, c, static_cast<float>(ratio_sum / nd));
-      }
-    }
-  });
+  const ViewSource src(prebuilt ? *prebuilt : *local);
+  run_band_pairs<RatioKernel>(src, AllPairs{}, MatrixFinish(sev));
   return sev;
 }
 
@@ -337,39 +257,13 @@ double TivAnalyzer::violating_triangle_fraction(std::size_t sample_triangles,
                                                 std::uint64_t seed) const {
   const HostId n = matrix_.size();
   if (sample_triangles == 0) {
-    // Exact mode, through the same blocked machinery as all_severities.
-    //
-    // Scan unordered measured pairs (a, c) and count witnesses b with both
-    // legs measured. Each measurable triangle {x, y, z} is counted once per
-    // role (3 times total), but contributes a *violation* in exactly one
-    // role: if d_xy + d_yz < d_xz then d_xz is the strict maximum, so the
-    // other two inequalities hold. Hence
-    //   violating fraction = violations / (witness_total / 3).
+    // Exact mode: the band-pair driver's triangle counting over the view
+    // (see CountKernel for the 3 * violations / witnesses accounting).
     if (n < 3) return 0.0;
     const DelayMatrixView view(matrix_);
-    const std::size_t stride = view.stride();
-    std::atomic<std::size_t> violations{0};
-    std::atomic<std::size_t> witness_total{0};
-    for_each_upper_tile(n, [&](HostId a_begin, HostId a_end, HostId c_begin,
-                               HostId c_end) {
-      std::size_t local_v = 0;
-      std::size_t local_t = 0;
-      for (HostId a = a_begin; a < a_end; ++a) {
-        const float* row_a = view.row(a);
-        const HostId c_lo = std::max<HostId>(c_begin, a + 1);
-        for (HostId c = c_lo; c < c_end; ++c) {
-          const float d_ac = row_a[c];
-          if (d_ac >= DelayMatrixView::kMaskedDelay) continue;
-          local_t += view.witness_count(a, c);
-          local_v +=
-              witness_violation_count(row_a, view.row(c), stride, d_ac);
-        }
-      }
-      violations.fetch_add(local_v, std::memory_order_relaxed);
-      witness_total.fetch_add(local_t, std::memory_order_relaxed);
-    });
-    const auto t = static_cast<double>(witness_total.load());
-    return t == 0.0 ? 0.0 : 3.0 * static_cast<double>(violations.load()) / t;
+    TriangleCountFinish counts;
+    run_band_pairs<CountKernel>(ViewSource(view), AllPairs{}, counts);
+    return counts.fraction();
   }
   return violating_triangle_fraction_sampled(sample_triangles, seed).fraction;
 }

@@ -92,10 +92,13 @@ class TivAnalyzer {
   ///
   /// Pass `view` (a packed view of this analyzer's matrix) to skip the
   /// O(N^2) view build — figure drivers that make several batched calls
-  /// should pack once and share it. With view == nullptr a batch too small
-  /// to amortize a local build (edges * 4 < N) falls back to the scalar
+  /// should pack once and share it; a view of another size throws
+  /// std::invalid_argument. With view == nullptr a batch too small to
+  /// amortize a local build (edges * 4 < N) falls back to the scalar
   /// per-edge scan, which computes identical counts and severities to
   /// ~1e-15 relative (summation order only).
+  /// This is the sampled-edge path; whole-matrix and dirty-epoch
+  /// severities go through the band-pair driver (all_severities).
   std::vector<EdgeTivStats> edge_stats_batch(
       std::span<const std::pair<HostId, HostId>> edges,
       const DelayMatrixView* view = nullptr) const;
@@ -119,14 +122,14 @@ class TivAnalyzer {
   /// distribution), unsorted.
   std::vector<double> violation_ratios(HostId a, HostId c) const;
 
-  /// All-edges severity matrix; O(N^3). Runs the tiled, branch-free kernel
-  /// over a packed DelayMatrixView (see docs/PERFORMANCE.md), dynamically
-  /// scheduled over (a, c) tiles of the upper triangle. Both kernels add
-  /// the identical witness_ratio terms (core/witness_kernels.hpp) and
-  /// differ only in summation order, so after both round the result to
-  /// float they agree to within one float ulp.
+  /// All-edges severity matrix; O(N^3). The band-pair driver over the
+  /// packed DelayMatrixView: 16-row (a, c) bands, each pair one branch-free
+  /// full-row scan (see docs/PERFORMANCE.md). It and the reference kernel
+  /// add the identical witness_ratio terms and differ only in summation
+  /// order, so after rounding to float they agree to within one float ulp.
   /// Pass `view` (a packed view of this matrix) to reuse a view the caller
-  /// already built; nullptr packs one locally.
+  /// already built (another size throws std::invalid_argument); nullptr
+  /// packs one locally.
   SeverityMatrix all_severities(const DelayMatrixView* view = nullptr) const;
 
   /// The straightforward scalar kernel (the original implementation): two
@@ -149,8 +152,9 @@ class TivAnalyzer {
 
   /// Fraction of triangles (all three edges measured) that contain at least
   /// one violation — the paper's "around 12% of them violate triangle
-  /// inequality" figure for DS^2. Exact over all triangles when
-  /// sample_triangles == 0, otherwise Monte Carlo.
+  /// inequality" figure for DS^2. Exact over all triangles (the band-pair
+  /// driver's counting kernel) when sample_triangles == 0, otherwise
+  /// Monte Carlo.
   double violating_triangle_fraction(std::size_t sample_triangles = 0,
                                      std::uint64_t seed = 4321) const;
 

@@ -1,258 +1,101 @@
 #include "core/shard_severity.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <exception>
-#include <filesystem>
-#include <mutex>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "core/triangle_schedule.hpp"
-#include "core/witness_kernels.hpp"
+#include "core/band_pair_driver.hpp"
 #include "obs/trace.hpp"
-#include "util/parallel.hpp"
 
 namespace tiv::core {
 namespace {
 
-using delayspace::DelayMatrixView;
 using shard::TileCache;
 using shard::TileRef;
 using shard::TileStore;
 
-// ---------------------------------------------------------------------------
-// Band-pair streaming.
-//
-// The matrix is stored as square tiles of T = store.tile_dim() rows. The
-// driver walks unordered band pairs (I, J), I <= J, of the upper triangle —
-// the same decomposition as the in-memory kernel's 16-row tiles, just at
-// tile-store granularity — dynamically scheduled over the pool. For one
-// band pair it pins the d_ac tile (I, J), then streams witness bands K in
-// ascending column order, pinning tiles (I, K) and (J, K) and feeding each
-// pair's kWitnessLanes accumulators. Ascending K plus lane-aligned tile
-// widths is what makes the partial sums land in the same lanes, in the
-// same order, as the monolithic in-memory row scan — hence bit-identical
-// severities (see witness_kernels.hpp).
-//
-// Cache locality: band pairs are walked row-major within the band
-// triangle, so consecutive pairs share band I and re-hit its (I, K) tiles;
-// while band K computes, tiles for K+1 load on the cache's background I/O
-// thread.
-// ---------------------------------------------------------------------------
-
-/// Runs fn(I, J) over all band pairs I <= J, dynamically scheduled
-/// (core/triangle_schedule.hpp, shared with the in-memory tile loop).
-///
-/// Unlike the in-memory kernels — noexcept in practice — the band body does
-/// tile I/O, which can throw (truncated spill file, disk error). The pool
-/// contract terminates the process on a worker-thread exception, so the
-/// body is wrapped: the first failure is captured, remaining pairs are
-/// skipped, and the exception rethrows on the calling thread after the
-/// parallel loop drains.
-template <typename PairFn>
-void for_each_band_pair(std::uint32_t bands, PairFn&& fn) {
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  for_each_triangle_pair(bands, [&](std::size_t bi, std::size_t bj) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    try {
-      fn(static_cast<std::uint32_t>(bi), static_cast<std::uint32_t>(bj));
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(error_mutex);
-      if (!error) error = std::current_exception();
-      failed.store(true, std::memory_order_relaxed);
+/// The storage source: tile_dim bands, one witness band per tile column,
+/// tiles pinned through the cache, witness band k+1 prefetched on its
+/// background I/O thread. Rows are full tile width: padding adds +0.0.
+class StoreSource {
+ public:
+  struct Block {
+    TileRef tile;
+    const float* row(std::uint32_t l) const { return tile->row(l); }
+    const std::uint64_t* mask_row(std::uint32_t l) const {
+      return tile->mask_row(l);
     }
-  });
-  if (error) std::rethrow_exception(error);
-}
+  };
 
-/// Issues background loads for witness band k of row bands bi/bj.
-void prefetch_band(TileCache& cache, std::uint32_t bi, std::uint32_t bj,
-                   std::uint32_t k, std::uint32_t bands) {
-  if (k >= bands) return;
-  cache.prefetch(bi, k);
-  if (bj != bi) cache.prefetch(bj, k);
-}
+  StoreSource(const TileStore& store, TileCache& cache)
+      : store_(store), cache_(cache) {}
 
-/// The per-band-pair streaming skeleton shared by both drivers: walks
-/// witness bands k in ascending order, prefetching band k+1 while k is
-/// pinned, and invokes fn(al, cl, d_ac, ta, tc) for every measured (a, c)
-/// pair of band pair (bi, bj) — al/cl tile-local, c_lo clamped past the
-/// diagonal on diagonal band pairs. Ascending k is load-bearing: it keeps
-/// the severity lane sums bit-identical to the monolithic scan.
-template <typename WitnessFn>
-void walk_band_pair(const TileStore& store, TileCache& cache,
-                    std::uint32_t bi, std::uint32_t bj,
-                    const shard::Tile& dac_tile, WitnessFn&& fn) {
-  const std::uint32_t bands = store.tiles_per_side();
-  const std::uint32_t rows_i = store.band_rows(bi);
-  const std::uint32_t rows_j = store.band_rows(bj);
-  for (std::uint32_t k = 0; k < bands; ++k) {
-    prefetch_band(cache, bi, bj, k + 1, bands);
-    const TileRef ta = cache.acquire(bi, k);
-    const TileRef tc = bj == bi ? ta : cache.acquire(bj, k);
-    for (std::uint32_t al = 0; al < rows_i; ++al) {
-      const float* dac_row = dac_tile.row(al);
-      const std::uint32_t c_lo = bi == bj ? al + 1 : 0;
-      for (std::uint32_t cl = c_lo; cl < rows_j; ++cl) {
-        const float d_ac = dac_row[cl];
-        if (d_ac >= DelayMatrixView::kMaskedDelay) continue;  // unmeasured
-        fn(al, cl, d_ac, *ta, *tc);
-      }
-    }
+  std::uint32_t band_dim() const { return store_.tile_dim(); }
+  std::uint32_t bands() const { return store_.tiles_per_side(); }
+  std::uint32_t band_rows(std::uint32_t b) const {
+    return store_.band_rows(b);
   }
-}
+  std::uint32_t witness_bands() const { return store_.tiles_per_side(); }
+  std::size_t scan_len() const { return store_.tile_dim(); }
+  std::size_t mask_len() const { return store_.mask_words_per_row(); }
+  Block delays(std::uint32_t bi, std::uint32_t bj) const {
+    return {cache_.acquire(bi, bj)};
+  }
+  Block witnesses(std::uint32_t b, std::uint32_t k) const {
+    return {cache_.acquire(b, k)};
+  }
+  void prefetch(std::uint32_t bi, std::uint32_t bj, std::uint32_t k) const {
+    cache_.prefetch(bi, k);
+    if (bj != bi) cache_.prefetch(bj, k);
+  }
 
-}  // namespace
-
-std::size_t packed_view_bytes(HostId n) {
-  return DelayMatrixView::bytes_for(n);
-}
-
-SeverityMatrix all_severities_streamed(const TileStore& store,
-                                       TileCache& cache) {
-  const HostId n = store.size();
-  SeverityMatrix sev(n);
-  if (n < 2) return sev;
-  const std::uint32_t T = store.tile_dim();
-  const std::uint32_t bands = store.tiles_per_side();
-  const std::size_t scan_len = T;  // full tile width; padding sums to +0.0
-  const auto nd = static_cast<double>(n);
-
-  for_each_band_pair(bands, [&](std::uint32_t bi, std::uint32_t bj) {
-    const TileRef dac_tile = cache.acquire(bi, bj);
-    const std::uint32_t rows_i = store.band_rows(bi);
-    const std::uint32_t rows_j = store.band_rows(bj);
-    // One kWitnessLanes accumulator block per (a, c) pair of the band pair,
-    // carried across witness bands. ~T*T*64 B (256 KiB at T = 64); owned by
-    // the worker, not the cache budget (it is O(T^2), not O(N)).
-    std::vector<double> acc(static_cast<std::size_t>(rows_i) * rows_j *
-                                kWitnessLanes,
-                            0.0);
-    walk_band_pair(store, cache, bi, bj, *dac_tile,
-                   [&](std::uint32_t al, std::uint32_t cl, float d_ac,
-                       const shard::Tile& ta, const shard::Tile& tc) {
-                     witness_ratio_accumulate(
-                         ta.row(al), tc.row(cl), scan_len, d_ac,
-                         acc.data() +
-                             (static_cast<std::size_t>(al) * rows_j + cl) *
-                                 kWitnessLanes);
-                   });
-    for (std::uint32_t al = 0; al < rows_i; ++al) {
-      const float* dac_row = dac_tile->row(al);
-      const auto a = static_cast<HostId>(bi * T + al);
-      const std::uint32_t c_lo = bi == bj ? al + 1 : 0;
-      for (std::uint32_t cl = c_lo; cl < rows_j; ++cl) {
-        if (dac_row[cl] >= DelayMatrixView::kMaskedDelay) continue;
-        const double ratio_sum = witness_ratio_reduce(
-            acc.data() +
-            (static_cast<std::size_t>(al) * rows_j + cl) * kWitnessLanes);
-        sev.set(a, static_cast<HostId>(bj * T + cl),
-                static_cast<float>(ratio_sum / nd));
-      }
-    }
-  });
-  return sev;
-}
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Sink-fed severity: the band-pair driver writing tile-shaped results
-// instead of filling an N^2 buffer. One shared body serves the full build
-// (every pair) and the dirty-epoch repair (pairs incident to dirty hosts).
-// ---------------------------------------------------------------------------
-
-/// One (a, c) pair of a band pair selected for recomputation, tile-local.
-struct PairTask {
-  std::uint32_t al;
-  std::uint32_t cl;
-  float dac;
+ private:
+  const TileStore& store_;
+  TileCache& cache_;
 };
 
-struct BandPairResult {
-  std::size_t recomputed = 0;  ///< pairs re-evaluated (incl. zero-resets)
-  bool committed = false;      ///< sink tile rewritten
+/// Composes band pair (bi, bj)'s severity tile in a worker-local O(tile^2)
+/// image and commits it. A full build starts from zeros (create() zeroed
+/// the store) and always commits. A repair reads the committed tile,
+/// patches the selected pairs, and commits only if something was
+/// recomputed or a stale value was reset to 0.
+class SinkFinish {
+ public:
+  SinkFinish(sink::SeverityTileStore& sink, bool full_build)
+      : sink_(sink), full_build_(full_build) {}
+
+  void operator()(const BandPair& bp, const RatioKernel& kernel) {
+    if (!full_build_ && bp.selected() == 0) return;
+    const std::size_t T = sink_.tile_dim();
+    std::vector<float> buf(sink_.payload_floats(), 0.0f);
+    if (!full_build_) sink_.read_tile(bp.bi, bp.bj, buf.data());
+    // Sets a cell (both orientations on a diagonal tile); true if changed.
+    auto set = [&](const SelectedPair& p, float v) {
+      bool changed = std::exchange(buf[p.al * T + p.cl], v) != v;
+      if (bp.bi == bp.bj) {
+        changed |= std::exchange(buf[p.cl * T + p.al], v) != v;
+      }
+      return changed;
+    };
+    bool zeroed = false;
+    for (const SelectedPair& p : bp.unmeasured) zeroed |= set(p, 0.0f);
+    if (!full_build_ && bp.measured.empty() && !zeroed) return;
+    const auto nd = static_cast<double>(sink_.size());
+    for (std::size_t t = 0; t < bp.measured.size(); ++t) {
+      set(bp.measured[t], static_cast<float>(kernel.ratio_sum(t) / nd));
+    }
+    sink_.write_tile(bp.bi, bp.bj, buf.data());
+    committed_.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::size_t committed() const { return committed_.load(); }
+
+ private:
+  sink::SeverityTileStore& sink_;
+  bool full_build_;
+  std::atomic<std::size_t> committed_{0};
 };
-
-/// Recomputes the selected pairs of band pair (bi, bj) and commits the sink
-/// tile. dirty_i/dirty_j flag dirty tile-local rows of the two bands
-/// (ignored when full_build, which selects every pair and skips the
-/// read-modify cycle — create() zeroed the tile). The witness walk is the
-/// same ascending-k, full-tile-width scan as all_severities_streamed, so
-/// every stored float is bit-identical to the in-memory kernel's.
-BandPairResult process_band_pair_to_sink(
-    const TileStore& store, TileCache& cache, sink::SeverityTileStore& sink,
-    std::uint32_t bi, std::uint32_t bj, const std::uint8_t* dirty_i,
-    const std::uint8_t* dirty_j, bool full_build) {
-  const std::uint32_t T = store.tile_dim();
-  const std::uint32_t bands = store.tiles_per_side();
-  const std::uint32_t rows_i = store.band_rows(bi);
-  const std::uint32_t rows_j = store.band_rows(bj);
-  const auto nd = static_cast<double>(store.size());
-  const TileRef dac_tile = cache.acquire(bi, bj);
-
-  // Worker-local tile image (O(T^2), like the accumulator block — outside
-  // the cache budgets by design).
-  std::vector<float> buf(sink.payload_floats(), 0.0f);
-  if (!full_build) sink.read_tile(bi, bj, buf.data());
-
-  BandPairResult res;
-  std::vector<PairTask> tasks;
-  bool zeroed = false;  ///< a stale value was reset to 0 in buf
-  for (std::uint32_t al = 0; al < rows_i; ++al) {
-    const float* dac_row = dac_tile->row(al);
-    const std::uint32_t c_lo = bi == bj ? al + 1 : 0;
-    for (std::uint32_t cl = c_lo; cl < rows_j; ++cl) {
-      if (!full_build && !(dirty_i[al] | dirty_j[cl])) continue;
-      ++res.recomputed;
-      const float d_ac = dac_row[cl];
-      if (d_ac >= DelayMatrixView::kMaskedDelay) {
-        // Unmeasured — possibly a measured->missing transition this epoch:
-        // a rebuild leaves 0 there, so the stale severity is reset.
-        const std::size_t o = static_cast<std::size_t>(al) * T + cl;
-        const std::size_t om = static_cast<std::size_t>(cl) * T + al;
-        zeroed |= buf[o] != 0.0f || (bi == bj && buf[om] != 0.0f);
-        buf[o] = 0.0f;
-        if (bi == bj) buf[om] = 0.0f;
-        continue;
-      }
-      tasks.push_back({al, cl, d_ac});
-    }
-  }
-  if (!full_build && tasks.empty() && !zeroed) return res;  // tile untouched
-
-  if (!tasks.empty()) {
-    std::vector<double> acc(tasks.size() * kWitnessLanes, 0.0);
-    for (std::uint32_t k = 0; k < bands; ++k) {
-      prefetch_band(cache, bi, bj, k + 1, bands);
-      const TileRef ta = cache.acquire(bi, k);
-      const TileRef tc = bj == bi ? ta : cache.acquire(bj, k);
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        witness_ratio_accumulate(ta->row(tasks[t].al), tc->row(tasks[t].cl),
-                                 T, tasks[t].dac,
-                                 acc.data() + t * kWitnessLanes);
-      }
-    }
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const double ratio_sum =
-          witness_ratio_reduce(acc.data() + t * kWitnessLanes);
-      const float v = static_cast<float>(ratio_sum / nd);
-      buf[static_cast<std::size_t>(tasks[t].al) * T + tasks[t].cl] = v;
-      if (bi == bj) {
-        buf[static_cast<std::size_t>(tasks[t].cl) * T + tasks[t].al] = v;
-      }
-    }
-  }
-  sink.write_tile(bi, bj, buf.data());
-  res.committed = true;
-  return res;
-}
 
 void check_sink_matches(const TileStore& store,
                         const sink::SeverityTileStore& sink) {
@@ -267,23 +110,30 @@ void check_sink_matches(const TileStore& store,
 
 }  // namespace
 
+SeverityMatrix all_severities_streamed(const TileStore& store,
+                                       TileCache& cache) {
+  SeverityMatrix sev(store.size());
+  if (store.size() < 2) return sev;
+  run_band_pairs<RatioKernel>(StoreSource(store, cache), AllPairs{},
+                              MatrixFinish(sev));
+  return sev;
+}
+
 void all_severities_to_sink(const TileStore& store, TileCache& cache,
                             sink::SeverityTileStore& sink) {
   check_sink_matches(store, sink);
   obs::Span span("band-pair-stream");
-  for_each_band_pair(store.tiles_per_side(),
-                     [&](std::uint32_t bi, std::uint32_t bj) {
-                       process_band_pair_to_sink(store, cache, sink, bi, bj,
-                                                 nullptr, nullptr, true);
-                     });
+  run_band_pairs<RatioKernel>(StoreSource(store, cache), AllPairs{},
+                              SinkFinish(sink, true));
 }
 
 void rebuild_sink_tile(const TileStore& store, TileCache& cache,
                        sink::SeverityTileStore& sink, std::uint32_t bi,
                        std::uint32_t bj) {
   check_sink_matches(store, sink);
-  process_band_pair_to_sink(store, cache, sink, bi, bj, nullptr, nullptr,
-                            true);
+  SinkFinish finish(sink, true);
+  run_band_pair<RatioKernel>(StoreSource(store, cache), AllPairs{}, bi, bj,
+                             finish);
 }
 
 SinkRepairStats repair_severities_to_sink(
@@ -292,137 +142,21 @@ SinkRepairStats repair_severities_to_sink(
   check_sink_matches(store, sink);
   SinkRepairStats stats;
   if (dirty_hosts.empty() || store.size() < 2) return stats;
-
-  const std::uint32_t T = store.tile_dim();
-  const std::uint32_t bands = store.tiles_per_side();
-  // Tile-local dirty-row bitmaps; a band with no dirty host keeps an empty
-  // vector and borrows the shared all-clean bitmap below.
-  std::vector<std::vector<std::uint8_t>> dirty(bands);
-  for (const HostId h : dirty_hosts) {
-    auto& band = dirty[h / T];
-    if (band.empty()) band.assign(T, 0);
-    band[h % T] = 1;
-  }
-  const std::vector<std::uint8_t> clean(T, 0);
-
+  const DirtyPairs dirty(store.size(), store.tile_dim(), dirty_hosts);
   obs::Span span("band-pair-stream");
-  std::atomic<std::size_t> recomputed{0};
-  std::atomic<std::size_t> committed{0};
-  for_each_band_pair(bands, [&](std::uint32_t bi, std::uint32_t bj) {
-    if (dirty[bi].empty() && dirty[bj].empty()) return;  // no dirty edge
-    const BandPairResult r = process_band_pair_to_sink(
-        store, cache, sink, bi, bj,
-        (dirty[bi].empty() ? clean : dirty[bi]).data(),
-        (dirty[bj].empty() ? clean : dirty[bj]).data(), false);
-    recomputed.fetch_add(r.recomputed, std::memory_order_relaxed);
-    committed.fetch_add(r.committed ? 1 : 0, std::memory_order_relaxed);
-  });
-  stats.edges_recomputed = recomputed.load();
-  stats.tiles_committed = committed.load();
+  SinkFinish finish(sink, false);
+  stats.edges_recomputed = run_band_pairs<RatioKernel>(
+      StoreSource(store, cache), dirty, finish);
+  stats.tiles_committed = finish.committed();
   return stats;
 }
 
 double violating_triangle_fraction_streamed(const TileStore& store,
                                             TileCache& cache) {
-  const HostId n = store.size();
-  if (n < 3) return 0.0;
-  const std::uint32_t T = store.tile_dim();
-  const std::uint32_t bands = store.tiles_per_side();
-  const std::size_t scan_len = T;
-  const std::size_t mask_len = store.mask_words_per_row();
-  // Same triangle-role accounting as the in-memory exact mode: every
-  // measurable triangle is scanned in 3 pair-roles but violates in exactly
-  // one, so fraction = 3 * violations / witness_total.
-  std::atomic<std::size_t> violations{0};
-  std::atomic<std::size_t> witness_total{0};
-
-  for_each_band_pair(bands, [&](std::uint32_t bi, std::uint32_t bj) {
-    const TileRef dac_tile = cache.acquire(bi, bj);
-    std::size_t local_v = 0;
-    std::size_t local_t = 0;
-    walk_band_pair(store, cache, bi, bj, *dac_tile,
-                   [&](std::uint32_t al, std::uint32_t cl, float d_ac,
-                       const shard::Tile& ta, const shard::Tile& tc) {
-                     local_t += masked_witness_count(
-                         ta.mask_row(al), tc.mask_row(cl), mask_len);
-                     local_v += witness_violation_count(
-                         ta.row(al), tc.row(cl), scan_len, d_ac);
-                   });
-    violations.fetch_add(local_v, std::memory_order_relaxed);
-    witness_total.fetch_add(local_t, std::memory_order_relaxed);
-  });
-  const auto t = static_cast<double>(witness_total.load());
-  return t == 0.0 ? 0.0 : 3.0 * static_cast<double>(violations.load()) / t;
-}
-
-namespace {
-
-std::string derive_spill_path(const OutOfCoreConfig& config) {
-  if (!config.spill_path.empty()) return config.spill_path;
-  static std::atomic<unsigned> counter{0};
-  const auto name = "tiv_spill_" + std::to_string(::getpid()) + "_" +
-                    std::to_string(counter.fetch_add(1)) + ".tiles";
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-/// Spills m, runs fn(store, cache), fills the report, cleans up the spill.
-template <typename Fn>
-auto spill_and_run(const DelayMatrix& m, const OutOfCoreConfig& config,
-                   OutOfCoreReport* report, Fn&& fn) {
-  const std::string path = derive_spill_path(config);
-  // Scope guard, not a success-path remove: a failed analysis must not
-  // leave a matrix-sized spill behind (it is the dominant disk cost at the
-  // host counts this path exists for). Destroyed last, after the TileStore
-  // below closes its fd (unlink-while-open would also be fine on POSIX).
-  struct SpillGuard {
-    const std::string& path;
-    bool keep;
-    ~SpillGuard() {
-      if (keep) return;
-      std::error_code ec;  // best-effort cleanup on every exit path
-      std::filesystem::remove(path, ec);
-    }
-  } guard{path, config.keep_spill};
-  TileStore::write_matrix(path, m, config.tile_dim);
-  const TileStore store = TileStore::open(path);
-  TileCache cache(store, config.memory_budget_bytes);
-  auto result = fn(store, cache);
-  if (report != nullptr) {
-    report->out_of_core = true;
-    report->cache = cache.stats();
-  }
-  return result;
-}
-
-}  // namespace
-
-SeverityMatrix all_severities_budgeted(const DelayMatrix& m,
-                                       const OutOfCoreConfig& config,
-                                       OutOfCoreReport* report) {
-  if (report != nullptr) *report = {};
-  if (config.memory_budget_bytes == 0 ||
-      packed_view_bytes(m.size()) <= config.memory_budget_bytes) {
-    return TivAnalyzer(m).all_severities();
-  }
-  return spill_and_run(m, config, report,
-                       [](const TileStore& store, TileCache& cache) {
-                         return all_severities_streamed(store, cache);
-                       });
-}
-
-double violating_triangle_fraction_budgeted(const DelayMatrix& m,
-                                            const OutOfCoreConfig& config,
-                                            OutOfCoreReport* report) {
-  if (report != nullptr) *report = {};
-  if (config.memory_budget_bytes == 0 ||
-      packed_view_bytes(m.size()) <= config.memory_budget_bytes) {
-    return TivAnalyzer(m).violating_triangle_fraction();
-  }
-  return spill_and_run(m, config, report,
-                       [](const TileStore& store, TileCache& cache) {
-                         return violating_triangle_fraction_streamed(store,
-                                                                     cache);
-                       });
+  if (store.size() < 3) return 0.0;
+  TriangleCountFinish counts;
+  run_band_pairs<CountKernel>(StoreSource(store, cache), AllPairs{}, counts);
+  return counts.fraction();
 }
 
 }  // namespace tiv::core

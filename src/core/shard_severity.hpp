@@ -1,29 +1,19 @@
-// Out-of-core TIV severity: streams (a-band, c-band, witness-band) tile
-// triples from a shard::TileStore through the branch-free witness kernels,
-// honoring a user-set memory budget via a shard::TileCache.
+// Out-of-core TIV severity: the band-pair driver (core/band_pair_driver.hpp)
+// over a shard::TileStore read through a budgeted shard::TileCache.
 //
-// The budget governs the *delay-matrix* working set. The all_severities
-// entry point still returns an in-memory SeverityMatrix (N^2 floats), so
-// its total footprint is O(budget) + O(N^2) for the output;
-// violating_triangle_fraction is O(budget) end to end. For matrices whose
-// *result* no longer fits either, all_severities_to_sink streams the
-// severity output band pair by band pair into a sink::SeverityTileStore —
-// O(budget + tile^2) working memory total — and
-// repair_severities_to_sink is its incremental counterpart: after an
-// epoch dirtied a host set, only the edges incident to those hosts are
-// recomputed and only the affected sink tiles are rewritten (the
-// out-of-core half of the src/stream/ dirty-epoch engine).
-//
-// Results are bit-identical to the in-memory TivAnalyzer path: tiles are
-// the packed view cut at lane-aligned column boundaries, the streamed scan
-// feeds the same accumulator lanes in ascending column order, and the final
-// reduction tree is shared (core/witness_kernels.hpp). See
-// docs/PERFORMANCE.md ("Sharded storage & out-of-core severity").
+// all_severities_streamed still returns an in-memory SeverityMatrix, so its
+// footprint is O(budget) + O(N^2); violating_triangle_fraction_streamed is
+// O(budget). all_severities_to_sink streams the result band pair by band
+// pair into a sink::SeverityTileStore instead (O(budget + tile^2)), and
+// repair_severities_to_sink is its dirty-epoch form. Each entry point is
+// the in-memory driver with another source, selection or finish, so
+// results are bit-identical to TivAnalyzer's by construction (see
+// docs/PERFORMANCE.md, "Sharded storage & out-of-core severity").
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
-#include <string>
 
 #include "core/severity.hpp"
 #include "shard/tile_cache.hpp"
@@ -31,11 +21,6 @@
 #include "sink/severity_tile_store.hpp"
 
 namespace tiv::core {
-
-/// Bytes the in-memory DelayMatrixView of an n-host matrix would occupy
-/// (padded delay rows + bitmask rows + alignment slack) — the quantity the
-/// auto-selection below compares against the budget.
-std::size_t packed_view_bytes(HostId n);
 
 /// All-edges severity matrix computed by streaming tiles of `store` through
 /// `cache`. Bit-identical to TivAnalyzer::all_severities on the matrix the
@@ -73,7 +58,8 @@ struct SinkRepairStats {
 /// that sequencing). Severities the in-memory
 /// IncrementalSeverity::apply_epoch would leave untouched are untouched
 /// here too, so the sink stays bit-identical to a from-scratch
-/// all_severities of the mutated matrix after every epoch.
+/// all_severities of the mutated matrix after every epoch. Throws
+/// std::invalid_argument for a dirty host id >= n.
 SinkRepairStats repair_severities_to_sink(
     const shard::TileStore& store, shard::TileCache& cache,
     sink::SeverityTileStore& sink, std::span<const HostId> dirty_hosts);
@@ -94,36 +80,5 @@ void rebuild_sink_tile(const shard::TileStore& store, shard::TileCache& cache,
 /// is integer counting; the final division is the same arithmetic).
 double violating_triangle_fraction_streamed(const shard::TileStore& store,
                                             shard::TileCache& cache);
-
-/// Policy + plumbing for the auto-selecting entry points.
-struct OutOfCoreConfig {
-  /// Budget for delay-matrix storage during the analysis. 0 = unbounded
-  /// (always run in memory). When the packed view exceeds the budget the
-  /// matrix is spilled to a TileStore and streamed with a cache of this
-  /// many bytes.
-  std::size_t memory_budget_bytes = 0;
-  std::uint32_t tile_dim = shard::kDefaultTileDim;
-  /// Spill file path; "" derives a unique name under the system temp
-  /// directory. The file is deleted after the analysis unless keep_spill.
-  std::string spill_path;
-  bool keep_spill = false;
-};
-
-/// What the auto-selection did, for benches/tests.
-struct OutOfCoreReport {
-  bool out_of_core = false;
-  shard::CacheStats cache;  ///< zero-initialized when in-memory
-};
-
-/// TivAnalyzer::all_severities when the packed view fits the budget,
-/// spill-and-stream otherwise. Either way the result is the same matrix.
-SeverityMatrix all_severities_budgeted(const DelayMatrix& m,
-                                       const OutOfCoreConfig& config,
-                                       OutOfCoreReport* report = nullptr);
-
-/// Budget-aware violating_triangle_fraction (exact mode only).
-double violating_triangle_fraction_budgeted(const DelayMatrix& m,
-                                            const OutOfCoreConfig& config,
-                                            OutOfCoreReport* report = nullptr);
 
 }  // namespace tiv::core

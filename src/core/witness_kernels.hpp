@@ -1,6 +1,6 @@
-// Branch-free witness-scan primitives shared by the in-memory severity
-// kernel (severity.cpp) and the out-of-core streaming driver
-// (shard_severity.cpp).
+// Branch-free witness-scan primitives: the lanes of the band-pair severity
+// driver (band_pair_driver.hpp, every whole-matrix and dirty-epoch path)
+// and of the per-edge batches (severity.cpp).
 //
 // All functions scan packed-view data: missing entries are
 // DelayMatrixView::kMaskedDelay (huge), the diagonal is 0, so missing-leg
@@ -49,9 +49,16 @@ inline constexpr std::size_t kWitnessLanes = 8;
 /// [0, len) of packed rows ra/rc. len must be a multiple of kWitnessLanes.
 /// Lane phase follows the caller's global column offset: pass rows whose
 /// column 0 is a multiple of kWitnessLanes globally.
-inline void witness_ratio_accumulate(const float* ra, const float* rc,
-                                     std::size_t len, float dac,
-                                     double* acc) {
+///
+/// Never inlined: inlined into the band-pair driver's loops, GCC 12
+/// vectorizes this scan in some instantiations and emits eight scalar
+/// divisions in others (up to 10x slower); on its own it is always one
+/// vector loop with the lanes in registers.
+[[gnu::noinline]] inline void witness_ratio_accumulate(const float* ra,
+                                                       const float* rc,
+                                                       std::size_t len,
+                                                       float dac,
+                                                       double* acc) {
   for (std::size_t b = 0; b < len; b += kWitnessLanes) {
     for (std::size_t l = 0; l < kWitnessLanes; ++l) {
       const float detour = ra[b + l] + rc[b + l];
@@ -86,14 +93,6 @@ struct WitnessViolationStats {
   /// min_detour) — the identical term of the identical float detour the
   /// scalar reference takes its running max over, hence bit-identical.
   float min_detour = 0.0f;
-
-  /// Exact composition (integer sum, order-free min; an empty chunk's dac
-  /// never beats a violating detour, which is < dac by definition):
-  /// chunked scans over the same edge combine to the monolithic result.
-  void merge(const WitnessViolationStats& o) {
-    count += o.count;
-    min_detour = o.min_detour < min_detour ? o.min_detour : min_detour;
-  }
 };
 
 /// One pass of the strict-violation scan for the batched edge engine. The

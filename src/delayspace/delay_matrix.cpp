@@ -1,7 +1,6 @@
 #include "delayspace/delay_matrix.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <fstream>
@@ -159,7 +158,10 @@ void DelayMatrixView::pack_row_segment(const DelayMatrix& m, HostId i,
 }
 
 void DelayMatrixView::repack_row(const DelayMatrix& m, HostId i) {
-  assert(m.size() == n_ && i < n_);
+  if (m.size() != n_ || i >= n_) {
+    throw std::invalid_argument(
+        "DelayMatrixView::repack_row: matrix size or row out of range");
+  }
   // pack_row_segment only ORs mask bits in, so clear the row's words first;
   // padding columns [n_, stride_) hold kMaskedDelay from construction and
   // are never written by either path, so they stay byte-identical to a
@@ -167,16 +169,6 @@ void DelayMatrixView::repack_row(const DelayMatrix& m, HostId i) {
   std::uint64_t* mask = masks_.data() + i * mask_words_;
   for (std::size_t w = 0; w < mask_words_; ++w) mask[w] = 0;
   pack_row_segment(m, i, 0, n_, delays_ + i * stride_, mask);
-}
-
-std::size_t DelayMatrixView::witness_count(HostId a, HostId c) const {
-  const std::uint64_t* ma = mask_row(a);
-  const std::uint64_t* mc = mask_row(c);
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < mask_words_; ++w) {
-    count += static_cast<std::size_t>(std::popcount(ma[w] & mc[w]));
-  }
-  return count;
 }
 
 }  // namespace tiv::delayspace

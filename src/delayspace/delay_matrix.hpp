@@ -95,8 +95,8 @@ class DelayMatrix {
 /// carries a per-row missing-entry bitmask: bit b of mask_row(i) is set iff
 /// (i, b) is a usable measurement (i != b and measured). The number of
 /// witnesses with both legs measured for edge (a, c) is then one AND+popcount
-/// sweep — b == a and b == c fall out automatically because a row's own bit
-/// is never set.
+/// sweep (core::masked_witness_count) — b == a and b == c fall out
+/// automatically because a row's own bit is never set.
 ///
 /// The view holds a snapshot: mutate the DelayMatrix and rebuild the view —
 /// or, when only a few hosts changed, repack_row the touched rows in place
@@ -136,7 +136,8 @@ class DelayMatrixView {
   /// encoding, so repacking every touched host's row brings the view back
   /// to what a from-scratch build over the mutated matrix would produce —
   /// byte-identical, padding included. O(n) per row; the incremental
-  /// alternative to the O(n^2) constructor.
+  /// alternative to the O(n^2) constructor. Throws std::invalid_argument
+  /// when m.size() != size() or i >= size().
   void repack_row(const DelayMatrix& m, HostId i);
 
   // Non-copyable/movable: delays_ points into delay_storage_, so a copied
@@ -158,10 +159,6 @@ class DelayMatrixView {
   const std::uint64_t* mask_row(HostId i) const {
     return masks_.data() + i * mask_words_;
   }
-
-  /// Witnesses of edge (a, c) with both legs measured (excludes a and c
-  /// themselves): popcount over the AND of the two mask rows.
-  std::size_t witness_count(HostId a, HostId c) const;
 
  private:
   HostId n_ = 0;

@@ -6,15 +6,15 @@
 // endpoint of (x, y): as the edge's own delay when {x, y} == {a, b}, or as
 // a witness leg through w == b (resp. w == a) when x or y equals a (resp.
 // b). An epoch that perturbed the host set H thus invalidates exactly the
-// edges incident to H — |H| * (n - 1) of them, deduplicated — and every
-// other severity is untouched.
+// edges incident to H — |H|(n - 1) - |H|(|H| - 1)/2 distinct pairs — and
+// every other severity is untouched.
 //
-// Those edges are recomputed through TivAnalyzer::edge_severity_batch
-// against the incrementally repacked view. That path runs the same
-// witness_ratio_accumulate / witness_ratio_reduce lanes over the same
-// packed rows as the from-scratch all_severities kernel, so the maintained
-// matrix is *bit-identical* to a full rebuild after every epoch — asserted
-// by tests/test_stream_engine.cpp over randomized update sequences.
+// An epoch repacks the dirty hosts' rows of the packed view in place
+// (DelayMatrixView::repack_row, byte-identical to a fresh build), then the
+// band-pair driver's dirty-pair selection recomputes the invalidated edges
+// straight into the SeverityMatrix: the same source, kernel and finish as
+// all_severities, so the matrix is *bit-identical* to a full rebuild after
+// every epoch (tests/test_stream_engine.cpp).
 #pragma once
 
 #include <cstdint>
@@ -22,11 +22,11 @@
 
 #include "core/severity.hpp"
 #include "stream/delay_stream.hpp"
-#include "stream/incremental_view.hpp"
 
 namespace tiv::stream {
 
 using core::SeverityMatrix;
+using delayspace::DelayMatrixView;
 
 class IncrementalSeverity {
  public:
@@ -42,11 +42,13 @@ class IncrementalSeverity {
 
   /// Current severities, synchronized to the last applied epoch.
   const SeverityMatrix& severities() const { return severities_; }
-  const DelayMatrixView& view() const { return view_.view(); }
+  /// The packed view of the last applied epoch's matrix.
+  const DelayMatrixView& view() const { return view_; }
 
   /// Repairs view and severities after an epoch that dirtied
   /// `dirty_hosts` (sorted, distinct — what DelayStream::commit_epoch
-  /// returns). `matrix` must be the stream's mutated matrix.
+  /// returns). `matrix` must be the stream's mutated matrix; a matrix of
+  /// another size or a host id out of range throws std::invalid_argument.
   ApplyStats apply_epoch(const DelayMatrix& matrix,
                          std::span<const HostId> dirty_hosts);
 
@@ -57,7 +59,7 @@ class IncrementalSeverity {
   }
 
  private:
-  IncrementalView view_;
+  DelayMatrixView view_;
   SeverityMatrix severities_;
 };
 

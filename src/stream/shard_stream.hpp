@@ -4,7 +4,8 @@
 //
 // IncrementalSeverity keeps the packed view and the severity matrix in
 // RAM; past the memory budget neither fits. A ShardStreamEngine holds both
-// on disk and repairs both incrementally after every committed epoch:
+// on disk and repairs both after every committed epoch, through the same
+// band-pair driver (core/band_pair_driver.hpp) with a tile-store source:
 //
 //   1. An epoch's dirty-host set maps to dirty *input* tiles: an edge
 //      update (a, b) changes exactly packed rows a and b and dirties both
@@ -14,10 +15,10 @@
 //      TileStore::repack_tile (byte-identical to a fresh build, the
 //      tile-granular mirror of DelayMatrixView::repack_row) and dropped
 //      from the tile cache (the dirty-tile invalidation rule).
-//   2. Only the edges incident to dirty hosts are recomputed, through the
-//      same band-pair streaming driver as the full out-of-core build
-//      (core/shard_severity), and only the sink tiles containing such
-//      edges are rewritten and committed with fresh checksums.
+//   2. Only the edges incident to dirty hosts are recomputed
+//      (repair_severities_to_sink: the driver's dirty-pair selection), and
+//      only the sink tiles containing such edges are rewritten and
+//      committed with fresh checksums.
 //
 // After every epoch the sink contents are *bit-identical* to the in-memory
 // DelayStream -> IncrementalSeverity -> all_severities path over the same
@@ -73,9 +74,8 @@ struct ShardStreamConfig {
   std::size_t input_budget_bytes = std::size_t{4} << 20;
   std::size_t output_budget_bytes = std::size_t{4} << 20;
   /// Keep the on-disk stores when the engine is destroyed (default:
-  /// removed, like the budgeted analyzers' spill files). Crash-recovery
-  /// harnesses set this so the files of a "killed" engine survive for
-  /// recover().
+  /// removed). Crash-recovery harnesses set this so the files of a
+  /// "killed" engine survive for recover().
   bool keep_files = false;
 };
 

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "core/severity.hpp"
+#include "core/witness_kernels.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "matrix_test_utils.hpp"
 #include "util/parallel.hpp"
@@ -170,14 +171,18 @@ TEST(DelayMatrixViewTest, PackingAndMask) {
       EXPECT_EQ(bit, m.has(i, b)) << "(" << i << ", " << b << ")";
     }
   }
-  // witness_count(0, 3): b must have measured legs to both 0 and 3.
+  // Witnesses of (0, 3): b must have measured legs to both 0 and 3.
   // Node 1: 0-1 measured, 1-3 missing. Node 2: 0-2 missing. Node 4: none.
-  EXPECT_EQ(view.witness_count(0, 3), 0u);
-  // witness_count(0, 2) once 1-2 is measured: node 1 (0-1, 1-2) and node 3
+  const auto witness_count = [](const DelayMatrixView& v, HostId a, HostId c) {
+    return core::masked_witness_count(v.mask_row(a), v.mask_row(c),
+                                      v.mask_words());
+  };
+  EXPECT_EQ(witness_count(view, 0, 3), 0u);
+  // Witnesses of (0, 2) once 1-2 is measured: node 1 (0-1, 1-2) and node 3
   // (0-3, 2-3) both have legs to each endpoint.
   m.set(1, 2, 4.0f);
   const DelayMatrixView view2(m);
-  EXPECT_EQ(view2.witness_count(0, 2), 2u);
+  EXPECT_EQ(witness_count(view2, 0, 2), 2u);
 }
 
 TEST(DelayMatrixViewTest, RowsAreCacheLineAligned) {

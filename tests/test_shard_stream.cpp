@@ -5,12 +5,14 @@
 // on-disk severities, read back through the budgeted sink cache, are
 // bit-identical to the in-memory streaming path (and hence to a
 // from-scratch TivAnalyzer::all_severities rebuild) — across densities,
-// measured<->missing churn, tile sizes that do not divide n, and n < 8.
+// measured<->missing churn, tile sizes that do not divide n, and n < 8 —
+// and the size guards of the engines and of prebuilt views.
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -272,6 +274,9 @@ void replay_and_check_engine(HostId n, double missing, std::uint32_t tile_dim,
     if (!epoch.dirty_hosts.empty()) {
       EXPECT_GT(stats.input_tiles_repacked, 0u);
     }
+    // Exactly the pairs incident to the dirty set, each once.
+    const std::size_t h = epoch.dirty_hosts.size();
+    EXPECT_EQ(stats.edges_recomputed, h * (n - 1) - h * (h - 1) / 2);
     ASSERT_TRUE(engine_matches(engine, in_memory.severities()))
         << "n=" << n << " missing=" << missing << " tile=" << tile_dim
         << " seed=" << seed << " epoch=" << e;
@@ -343,6 +348,43 @@ TEST(ShardStreamEngine, MatrixSizeChangeRejected) {
   const DelayMatrix wrong = random_matrix(24, 0.1, 53);
   EXPECT_THROW(engine.apply_epoch(wrong, std::vector<HostId>{1}),
                std::invalid_argument);
+}
+
+TEST(IncrementalSeverity, MatrixSizeChangeRejected) {
+  // Larger and smaller: a larger matrix would repack rows past the view.
+  IncrementalSeverity inc(random_matrix(20, 0.1, 53));
+  for (const HostId n : {24u, 16u}) {
+    const DelayMatrix wrong = random_matrix(n, 0.1, 53);
+    EXPECT_THROW(inc.apply_epoch(wrong, std::vector<HostId>{1}),
+                 std::invalid_argument);
+  }
+  const DelayMatrix same = random_matrix(20, 0.1, 54);
+  EXPECT_THROW(inc.apply_epoch(same, std::vector<HostId>{20}),
+               std::invalid_argument);  // dirty host out of range
+}
+
+TEST(DelayMatrixView, RepackRowSizeMismatchRejected) {
+  delayspace::DelayMatrixView view(random_matrix(20, 0.1, 55));
+  EXPECT_THROW(view.repack_row(random_matrix(24, 0.1, 55), 1),
+               std::invalid_argument);
+  EXPECT_THROW(view.repack_row(random_matrix(20, 0.1, 55), 20),
+               std::invalid_argument);
+}
+
+TEST(TivAnalyzer, PrebuiltViewSizeMismatchRejected) {
+  const DelayMatrix m = random_matrix(20, 0.1, 56);
+  const core::TivAnalyzer analyzer(m);
+  for (const HostId n : {24u, 16u}) {
+    const delayspace::DelayMatrixView view(random_matrix(n, 0.1, 56));
+    const std::vector<std::pair<HostId, HostId>> edges{{0, 1}, {2, 3}};
+    EXPECT_THROW(analyzer.all_severities(&view), std::invalid_argument);
+    EXPECT_THROW(analyzer.edge_stats_batch(edges, &view),
+                 std::invalid_argument);
+    EXPECT_THROW(analyzer.edge_severity_batch(edges, &view),
+                 std::invalid_argument);
+    EXPECT_THROW(analyzer.edge_violation_count_batch(edges, &view),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

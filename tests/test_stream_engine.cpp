@@ -15,7 +15,6 @@
 #include "matrix_test_utils.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/incremental_severity.hpp"
-#include "stream/incremental_view.hpp"
 #include "util/rng.hpp"
 
 namespace tiv::stream {
@@ -151,7 +150,7 @@ TEST(DelayStream, MissingReportOnMissingEdgeStaysClean) {
   EXPECT_EQ(ep.stats.became_missing, 0u);
 }
 
-// --- IncrementalView --------------------------------------------------------
+// --- IncrementalSeverity: view repair --------------------------------------
 
 /// Packed views agree byte-for-byte: delay rows over the full padded
 /// stride, and all mask words.
@@ -174,10 +173,11 @@ void expect_views_identical(const DelayMatrixView& got,
   }
 }
 
-TEST(IncrementalView, DirtyRowRepackMatchesFreshBuild) {
+TEST(IncrementalSeverity, DirtyRowRepackMatchesFreshBuild) {
   for (const double missing : {0.0, 0.3, 0.9}) {
     DelayMatrix m = test::random_matrix(70, missing, 91);  // multi-word masks
-    IncrementalView iv(m);
+    IncrementalSeverity inc(m);
+    std::size_t rows_repacked = 0;
     Rng rng(7);
     for (int round = 0; round < 5; ++round) {
       std::vector<HostId> dirty;
@@ -198,10 +198,10 @@ TEST(IncrementalView, DirtyRowRepackMatchesFreshBuild) {
           }
         }
       }
-      iv.apply_epoch(m, dirty);
-      expect_views_identical(iv.view(), DelayMatrixView(m));
+      rows_repacked += inc.apply_epoch(m, dirty).rows_repacked;
+      expect_views_identical(inc.view(), DelayMatrixView(m));
     }
-    EXPECT_GT(iv.rows_repacked(), 0u);
+    EXPECT_GT(rows_repacked, 0u);
   }
 }
 
@@ -257,7 +257,11 @@ void replay_and_check(HostId n, double missing, std::uint64_t seed,
                        double(e)});
       }
     }
-    inc.apply_epoch(stream);
+    const Epoch epoch = stream.commit_epoch();
+    const auto stats = inc.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+    // Exactly the pairs incident to the dirty set, each once.
+    const std::size_t h = epoch.dirty_hosts.size();
+    EXPECT_EQ(stats.edges_recomputed, h * (n - 1) - h * (h - 1) / 2);
     const TivAnalyzer analyzer(stream.matrix());
     ASSERT_TRUE(
         severities_bit_identical(inc.severities(), analyzer.all_severities()))
