@@ -2,6 +2,12 @@
 // asserts TIV is incompatible with ANY metric space (§3.1); if the
 // embedding error and the neighbor-selection penalty were artifacts of too
 // few dimensions, they would vanish as dimensions grow. They do not.
+// Expected: the error plateaus (the TIV residual is not a dimensionality
+// artifact) and the alert works in every dimension.
+//
+// Records: config, dimension (one per Vivaldi dimension: absolute error,
+// neighbor-selection penalty, alert accuracy on the worst 5% at threshold
+// 0.5), height (the 5-D run with and without height vectors).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -10,7 +16,7 @@
 #include "neighbor/selection.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -26,10 +32,13 @@ int main(int argc, char** argv) {
   sp.seed = 77 ^ cfg.seed;
   const neighbor::SelectionExperiment exp(space.measured, sp);
 
-  print_section(std::cout, "Vivaldi dimensionality ablation (DS2 data)");
-  Table table({"dim", "median abs err (ms)", "p90 abs err (ms)",
-               "median penalty %", "p90 penalty %",
-               "alert accuracy (worst 5%, t=0.5)"});
+  BenchReport json(std::cout, "bench_ablation_dims");
+  json.meta(cfg);
+  json.object()
+      .field("section", std::string("config"))
+      .field("hosts", n)
+      .field("candidates", sp.num_candidates)
+      .field("runs", runs);
   for (std::uint32_t dim : {2u, 3u, 5u, 7u, 9u}) {
     embedding::VivaldiParams vp;
     vp.dimension = dim;
@@ -44,23 +53,21 @@ int main(int argc, char** argv) {
     const auto ratio_samples =
         core::collect_ratio_severity_samples(sys, 10000, 321 ^ cfg.seed);
     const auto alert = core::evaluate_alert(ratio_samples, 0.05, 0.5);
-    table.add_row({std::to_string(dim), format_double(err.median, 1),
-                   format_double(err.p90, 1),
-                   format_double(penalties.quantile(0.5), 1),
-                   format_double(penalties.quantile(0.9), 1),
-                   format_double(alert.accuracy, 3)});
+    json.object()
+        .field("section", std::string("dimension"))
+        .field("dim", dim)
+        .field("median_abs_error_ms", err.median, 2)
+        .field("p90_abs_error_ms", err.p90, 2)
+        .field("median_penalty_pct", penalties.quantile(0.5), 2)
+        .field("p90_penalty_pct", penalties.quantile(0.9), 2)
+        .field("worst_fraction", 0.05, 2)
+        .field("threshold", 0.5, 1)
+        .field("alert_accuracy", alert.accuracy, 4);
   }
-  emit(table, cfg);
-  std::cout << "(expected: error plateaus — TIV residual is not a "
-               "dimensionality artifact; the alert works in every "
-               "dimension)\n";
 
   // Height-vector variant (Dabek §2.6) at the paper's 5-D setting: heights
   // absorb satellite access constants but cannot remove routing-induced
   // TIVs either.
-  print_section(std::cout, "Height-vector Vivaldi ablation (5-D)");
-  Table ht({"variant", "median abs err (ms)", "p90 abs err (ms)",
-            "median penalty %"});
   for (const bool use_height : {false, true}) {
     embedding::VivaldiParams vp;
     vp.dimension = 5;
@@ -73,10 +80,17 @@ int main(int argc, char** argv) {
         exp.run([&sys](delayspace::HostId a, delayspace::HostId b) {
           return sys.predicted(a, b);
         });
-    ht.add_row({use_height ? "with heights" : "plain Euclidean",
-                format_double(err.median, 1), format_double(err.p90, 1),
-                format_double(penalties.quantile(0.5), 1)});
+    json.object()
+        .field("section", std::string("height"))
+        .field("variant", std::string(use_height ? "with_heights"
+                                                 : "plain_euclidean"))
+        .field("median_abs_error_ms", err.median, 2)
+        .field("p90_abs_error_ms", err.p90, 2)
+        .field("median_penalty_pct", penalties.quantile(0.5), 2);
   }
-  emit(ht, cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

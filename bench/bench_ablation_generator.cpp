@@ -4,6 +4,11 @@
 // length relation that is far smoother and (b) no cluster structure in the
 // violations — the irregularity the paper documents is a *structural*
 // property of routing, which is why the substrate matters.
+//
+// Records: route_class (the policy substrate's route-class mix), bin
+// (severity vs delay per variant, 25 ms bins), summary (per variant:
+// severity-vs-length irregularity, violating triangle fraction, cross/
+// within cluster severity ratio).
 #include <cmath>
 #include <iostream>
 
@@ -40,7 +45,7 @@ double median_irregularity(const std::vector<tiv::Bin>& bins) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -64,28 +69,27 @@ int main(int argc, char** argv) {
       delayspace::generate_hosts_over(graph, policy, params.hosts);
   const auto iid_space = delayspace::generate_iid_inflation(params);
 
+  BenchReport json(std::cout, "bench_ablation_generator");
+  json.meta(cfg);
   const routing::RouteClassCounts& classes = policy.class_counts();
-  print_section(std::cout, "Route-class mix (policy substrate)");
-  Table class_table({"class", "routes", "fraction"});
   const char* class_names[] = {"customer", "peer", "provider"};
   const routing::RouteClass class_ids[] = {routing::RouteClass::kCustomer,
                                            routing::RouteClass::kPeer,
                                            routing::RouteClass::kProvider};
   for (int c = 0; c < 3; ++c) {
-    class_table.add_row(
-        {class_names[c], std::to_string(classes.of(class_ids[c])),
-         format_double(policy.class_fraction(class_ids[c]), 4)});
+    json.object()
+        .field("section", std::string("route_class"))
+        .field("class", std::string(class_names[c]))
+        .field("routes", classes.of(class_ids[c]))
+        .field("fraction", policy.class_fraction(class_ids[c]), 4);
   }
-  class_table.add_row(
-      {"unreachable", std::to_string(classes.unreachable), "-"});
-  emit(class_table, cfg);
+  json.object()
+      .field("section", std::string("route_class"))
+      .field("class", std::string("unreachable"))
+      .field("routes", classes.unreachable);
 
-  Table table({"metric", "policy-routing", "iid-inflation"});
-  std::vector<std::string> names{"policy-routing", "iid-inflation"};
+  const std::string names[] = {"policy-routing", "iid-inflation"};
   const delayspace::DelaySpace* spaces[] = {&policy_space, &iid_space};
-  double irregularity[2];
-  double triangle_fraction[2];
-  double cross_over_within[2];
   for (int v = 0; v < 2; ++v) {
     const auto& space = *spaces[v];
     const core::TivAnalyzer analyzer(space.measured);
@@ -94,9 +98,17 @@ int main(int argc, char** argv) {
     for (const auto& [edge, sev] : sampled) {
       series.add(space.measured.at(edge.first, edge.second), sev);
     }
-    print_bins("severity vs delay (" + names[v] + ")", series.bins(), cfg);
-    irregularity[v] = median_irregularity(series.bins());
-    triangle_fraction[v] = analyzer.violating_triangle_fraction(300000);
+    for (const Bin& b : series.bins()) {
+      json.object()
+          .field("section", std::string("bin"))
+          .field("variant", names[v])
+          .field("delay_ms", b.x_center, 1)
+          .field("p10", b.p10, 4)
+          .field("median", b.median, 4)
+          .field("p90", b.p90, 4)
+          .field("mean", b.mean, 4)
+          .field("count", b.count);
+    }
 
     const auto clustering =
         delayspace::cluster_delay_space(space.measured, {});
@@ -113,21 +125,20 @@ int main(int argc, char** argv) {
         ++nc;
       }
     }
-    cross_over_within[v] = (nw == 0 || nc == 0 || within == 0.0)
-                               ? 0.0
-                               : (cross / nc) / (within / nw);
+    const double cross_over_within = (nw == 0 || nc == 0 || within == 0.0)
+                                         ? 0.0
+                                         : (cross / nc) / (within / nw);
+    json.object()
+        .field("section", std::string("summary"))
+        .field("variant", names[v])
+        .field("irregularity", median_irregularity(series.bins()), 4)
+        .field("triangle_fraction",
+               analyzer.violating_triangle_fraction(300000), 4)
+        .field("cross_over_within", cross_over_within, 3);
   }
-
-  print_section(std::cout, "Ablation summary");
-  table.add_row({"severity-vs-length irregularity",
-                 format_double(irregularity[0], 3),
-                 format_double(irregularity[1], 3)});
-  table.add_row({"violating triangle fraction",
-                 format_double(triangle_fraction[0], 3),
-                 format_double(triangle_fraction[1], 3)});
-  table.add_row({"cross/within cluster severity ratio",
-                 format_double(cross_over_within[0], 2),
-                 format_double(cross_over_within[1], 2)});
-  emit(table, cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -157,7 +157,6 @@ void localized_churn(DelayStream& stream, Rng& rng, HostId span, double t) {
 int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  flags.get_bool("json", false);  // accepted for uniformity; always JSON
   const auto n =
       static_cast<HostId>(flags.get_int("hosts", quick ? 128 : 384));
   const auto tile_dim =

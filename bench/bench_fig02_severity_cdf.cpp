@@ -2,16 +2,15 @@
 // datasets. Paper shape: most edges cause only slight violations, every
 // curve has a long tail; severity tails differ per dataset.
 //
-// --json emits flat records (sections: samples, cdf) for machine-checkable
-// regressions, including the achieved-vs-requested sample accounting.
+// Records: samples (achieved-vs-requested sample accounting per dataset),
+// cdf (fraction of edges at most each severity, per dataset).
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "core/severity.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -24,14 +23,9 @@ int main(int argc, char** argv) {
                                  0.4,  0.6,  0.8,  1.0,  1.5, 2.0,
                                  3.0,  5.0,  8.0,  12.0, 20.0};
 
-  std::optional<BenchReport> json;
-  if (cfg.json) {
-    json.emplace(std::cout, "bench_fig02_severity_cdf");
-    json->meta(cfg);
-  }
+  BenchReport json(std::cout, "bench_fig02_severity_cdf");
+  json.meta(cfg);
 
-  std::vector<std::string> names;
-  std::vector<Cdf> cdfs;
   for (const auto id : delayspace::all_datasets()) {
     // PlanetLab is already small; others are scaled by --hosts/--full.
     BenchConfig c = cfg;
@@ -43,32 +37,24 @@ int main(int argc, char** argv) {
     severities.reserve(sampled.size());
     for (const auto& [edge, sev] : sampled) severities.push_back(sev);
     const std::string name = delayspace::dataset_name(id);
-    if (cfg.json) {
-      json->object()
-          .field("section", std::string("samples"))
+    json.object()
+        .field("section", std::string("samples"))
+        .field("dataset", name)
+        .field("hosts", space.measured.size())
+        .field("edges_requested", samples)
+        .field("edges_achieved", sampled.size());
+    const Cdf cdf(std::move(severities));
+    for (const double x : grid) {
+      json.object()
+          .field("section", std::string("cdf"))
           .field("dataset", name)
-          .field("hosts", space.measured.size())
-          .field("edges_requested", samples)
-          .field("edges_achieved", sampled.size());
-      const Cdf cdf(std::move(severities));
-      for (const double x : grid) {
-        json->object()
-            .field("section", std::string("cdf"))
-            .field("dataset", name)
-            .field("severity", x, 3)
-            .field("fraction", cdf.fraction_at_most(x), 4);
-      }
-    } else {
-      names.push_back(name);
-      cdfs.emplace_back(std::move(severities));
-      std::cout << name << ": " << space.measured.size() << " hosts, "
-                << sampled.size() << " sampled edges\n";
+          .field("severity", x, 3)
+          .field("fraction", cdf.fraction_at_most(x), 4);
     }
   }
-
-  if (!cfg.json) {
-    print_cdfs_on_grid("Figure 2: CDF of TIV severity (per dataset)", names,
-                       cdfs, grid, cfg);
-  }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

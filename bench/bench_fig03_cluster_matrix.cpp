@@ -1,16 +1,18 @@
-// Figure 3: TIV severity matrix reordered by cluster, rendered as ASCII
-// grayscale (bright = severe). Paper shape: the three diagonal blocks
-// (within-cluster) are darker than the off-diagonal (cross-cluster) areas.
-// Also prints the in-text within/cross violation-count averages (paper:
-// 80 within vs 206 cross for DS^2).
+// Figure 3: TIV severity matrix reordered by cluster (largest cluster
+// first, noise last) and block-averaged down to a --grid x --grid matrix.
+// Paper shape: the three diagonal blocks (within-cluster) are darker than
+// the off-diagonal (cross-cluster) areas. Also reports the in-text
+// within/cross violation-count averages (paper: 80 within vs 206 cross for
+// DS^2).
 //
 // The delay matrix is packed into one DelayMatrixView shared by the
 // all-severities kernel and the batched cluster violation scans.
 //
-// --json emits flat records (sections: clustering, cluster_stats) for
-// machine-checkable regressions; the ASCII grid is table-mode only.
+// Records: clustering (cluster count and sizes, noise nodes, Rand index
+// against the generator's ground truth), grid (one per cell: row, col,
+// mean_severity — the figure itself), cluster_stats (within/cross means,
+// with the paper's full-scale reference).
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "core/cluster_analysis.hpp"
@@ -18,7 +20,7 @@
 #include "delayspace/clustering.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -30,70 +32,56 @@ int main(int argc, char** argv) {
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);
   const core::TivAnalyzer analyzer(space.measured);
   const delayspace::DelayMatrixView view(space.measured);
-  if (!cfg.json) {
-    std::cout << "computing all-edge severities for "
-              << space.measured.size() << " hosts (O(N^3))...\n";
-  }
   const core::SeverityMatrix sev = analyzer.all_severities(&view);
 
   const auto clustering = delayspace::cluster_delay_space(space.measured, {});
   const double rand_idx =
       delayspace::rand_index(clustering, space.host_cluster);
-  std::optional<BenchReport> json;
-  if (cfg.json) {
-    json.emplace(std::cout, "bench_fig03_cluster_matrix");
-    json->meta(cfg);
-  }
-  if (cfg.json) {
-    auto obj = json->object();
-    obj.field("section", std::string("clustering"))
-        .field("hosts", space.measured.size())
-        .field("major_clusters", clustering.num_clusters())
-        .field("noise_nodes", clustering.noise.size())
-        .field("rand_index", rand_idx, 3);
-  } else {
-    std::cout << "clusters found: " << clustering.num_clusters()
-              << " major (sizes:";
-    for (const auto& m : clustering.members) std::cout << ' ' << m.size();
-    std::cout << ") + " << clustering.noise.size() << " noise nodes\n";
-    std::cout << "agreement with generator ground truth (Rand index): "
-              << format_double(rand_idx, 3) << "\n";
+  BenchReport json(std::cout, "bench_fig03_cluster_matrix");
+  json.meta(cfg);
+  std::vector<std::size_t> sizes;
+  for (const auto& m : clustering.members) sizes.push_back(m.size());
+  json.object()
+      .field("section", std::string("clustering"))
+      .field("hosts", space.measured.size())
+      .field("major_clusters", clustering.num_clusters())
+      .field("noise_nodes", clustering.noise.size())
+      .field("rand_index", rand_idx, 3)
+      .field("cluster_sizes", sizes);
 
-    print_section(std::cout,
-                  "Figure 3: severity by cluster (bright = severe TIV)");
-    const auto grid = core::severity_cluster_grid(space.measured, sev,
-                                                  clustering, grid_size);
-    core::print_severity_grid(std::cout, grid);
-
-    print_section(std::cout, "Within- vs cross-cluster TIV statistics");
+  const auto grid = core::severity_cluster_grid(space.measured, sev,
+                                                clustering, grid_size);
+  for (std::size_t r = 0; r < grid.size(); ++r) {
+    for (std::size_t c = 0; c < grid[r].size(); ++c) {
+      json.object()
+          .field("section", std::string("grid"))
+          .field("row", r)
+          .field("col", c)
+          .field("mean_severity", grid[r][c], 5);
+    }
   }
+
   const core::ClusterTivStats stats = core::cluster_tiv_stats(
       space.measured, sev, clustering, 4000, 77, &view);
-  if (cfg.json) {
-    json->object()
-        .field("section", std::string("cluster_stats"))
-        .field("edge_class", std::string("within"))
-        .field("edges", stats.edges_within)
-        .field("edges_requested", stats.edges_requested)
-        .field("mean_tivs", stats.mean_violations_within, 2)
-        .field("mean_severity", stats.mean_severity_within, 5);
-    json->object()
-        .field("section", std::string("cluster_stats"))
-        .field("edge_class", std::string("cross"))
-        .field("edges", stats.edges_cross)
-        .field("edges_requested", stats.edges_requested)
-        .field("mean_tivs", stats.mean_violations_cross, 2)
-        .field("mean_severity", stats.mean_severity_cross, 5);
-  } else {
-    Table table({"edge class", "edges", "mean #TIVs", "mean severity"});
-    table.add_row({"within-cluster", std::to_string(stats.edges_within),
-                   format_double(stats.mean_violations_within, 1),
-                   format_double(stats.mean_severity_within, 4)});
-    table.add_row({"cross-cluster", std::to_string(stats.edges_cross),
-                   format_double(stats.mean_violations_cross, 1),
-                   format_double(stats.mean_severity_cross, 4)});
-    emit(table, cfg);
-    std::cout << "(paper, DS^2 full scale: within 80 vs cross 206 mean TIVs)\n";
-  }
+  json.object()
+      .field("section", std::string("cluster_stats"))
+      .field("edge_class", std::string("within"))
+      .field("edges", stats.edges_within)
+      .field("edges_requested", stats.edges_requested)
+      .field("mean_tivs", stats.mean_violations_within, 2)
+      .field("mean_severity", stats.mean_severity_within, 5)
+      .field("paper", std::string("80"));
+  json.object()
+      .field("section", std::string("cluster_stats"))
+      .field("edge_class", std::string("cross"))
+      .field("edges", stats.edges_cross)
+      .field("edges_requested", stats.edges_requested)
+      .field("mean_tivs", stats.mean_violations_cross, 2)
+      .field("mean_severity", stats.mean_severity_cross, 5)
+      .field("paper", std::string("206"));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

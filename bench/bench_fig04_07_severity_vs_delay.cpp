@@ -4,16 +4,15 @@
 // monotone humps, huge within-bin spread) — severity cannot be predicted
 // from length.
 //
-// --json emits flat records (sections: samples, bin) for machine-checkable
-// regressions, including the achieved-vs-requested sample accounting.
+// Records: samples (achieved-vs-requested sample accounting per dataset),
+// bin (one per dataset and delay bin: p10/median/p90/mean severity).
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "core/severity.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -23,23 +22,13 @@ int main(int argc, char** argv) {
   const double bin_ms = flags.get_double("bin-ms", 10.0);
   reject_unknown_flags(flags);
 
-  std::optional<BenchReport> json;
-  if (cfg.json) {
-    json.emplace(std::cout, "bench_fig04_07_severity_vs_delay");
-    json->meta(cfg);
-  }
+  BenchReport json(std::cout, "bench_fig04_07_severity_vs_delay");
+  json.meta(cfg);
 
-  struct FigureRef {
-    delayspace::DatasetId id;
-    const char* figure;
-  };
-  const FigureRef figures[] = {
-      {delayspace::DatasetId::kDs2, "Figure 4 (DS2)"},
-      {delayspace::DatasetId::kP2psim, "Figure 5 (p2psim)"},
-      {delayspace::DatasetId::kMeridian, "Figure 6 (Meridian)"},
-      {delayspace::DatasetId::kPlanetLab, "Figure 7 (PlanetLab)"},
-  };
-  for (const auto& [id, figure] : figures) {
+  // Figures 4-7, in figure order.
+  for (const auto id :
+       {delayspace::DatasetId::kDs2, delayspace::DatasetId::kP2psim,
+        delayspace::DatasetId::kMeridian, delayspace::DatasetId::kPlanetLab}) {
     BenchConfig c = cfg;
     if (id == delayspace::DatasetId::kPlanetLab) c.hosts = 0;
     const auto space = make_space(id, c);
@@ -49,29 +38,28 @@ int main(int argc, char** argv) {
     for (const auto& [edge, sev] : sampled) {
       series.add(space.measured.at(edge.first, edge.second), sev);
     }
-    if (cfg.json) {
-      const std::string name = delayspace::dataset_name(id);
-      json->object()
-          .field("section", std::string("samples"))
+    const std::string name = delayspace::dataset_name(id);
+    json.object()
+        .field("section", std::string("samples"))
+        .field("dataset", name)
+        .field("hosts", space.measured.size())
+        .field("edges_requested", samples)
+        .field("edges_achieved", sampled.size());
+    for (const Bin& b : series.bins()) {
+      json.object()
+          .field("section", std::string("bin"))
           .field("dataset", name)
-          .field("hosts", space.measured.size())
-          .field("edges_requested", samples)
-          .field("edges_achieved", sampled.size());
-      for (const Bin& b : series.bins()) {
-        json->object()
-            .field("section", std::string("bin"))
-            .field("dataset", name)
-            .field("delay_ms", b.x_center, 1)
-            .field("p10", b.p10, 4)
-            .field("median", b.median, 4)
-            .field("p90", b.p90, 4)
-            .field("mean", b.mean, 4)
-            .field("count", b.count);
-      }
-    } else {
-      print_bins(std::string(figure) + ": TIV severity vs edge delay",
-                 series.bins(), cfg);
+          .field("delay_ms", b.x_center, 1)
+          .field("p10", b.p10, 4)
+          .field("median", b.median, 4)
+          .field("p90", b.p90, 4)
+          .field("mean", b.mean, 4)
+          .field("count", b.count);
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

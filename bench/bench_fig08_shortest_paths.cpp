@@ -5,10 +5,9 @@
 // stays flat (many alternatives -> severe TIVs), then jumps for the longest
 // edges (even the best path is long -> no severe TIVs possible).
 //
-// --json emits flat records (sections: meta, within_cluster_bin,
-// shortest_path_bin) for machine-checkable regressions.
+// Records: meta (also carries the cluster and measured-pair counts),
+// within_cluster_bin, shortest_path_bin.
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "delayspace/clustering.hpp"
@@ -36,7 +35,7 @@ void emit_delay_bins_json(tiv::bench::JsonArrayWriter& json,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -47,11 +46,6 @@ int main(int argc, char** argv) {
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);
   const auto& m = space.measured;
   const auto clustering = delayspace::cluster_delay_space(m, {});
-  if (!cfg.json) {
-    std::cout << "hosts: " << m.size() << ", clusters: "
-              << clustering.num_clusters() << "\n";
-    std::cout << "computing all-pairs overlay shortest paths (O(N^3))...\n";
-  }
   const delayspace::OverlayPaths overlay(m);
 
   BinnedSeries within(0.0, 1000.0, bin_ms);
@@ -64,19 +58,15 @@ int main(int argc, char** argv) {
       shortest.add(d, overlay.delay(i, j));
     }
   }
-  if (cfg.json) {
-    BenchReport json(std::cout, "bench_fig08_shortest_paths");
-    json.meta(cfg)
-        .field("clusters", clustering.num_clusters())
-        .field("measured_pairs", m.measured_pair_count());
-    emit_delay_bins_json(json, "within_cluster_bin", within.bins());
-    emit_delay_bins_json(json, "shortest_path_bin", shortest.bins());
-    return 0;
-  }
-  print_bins("Figure 8 (top): fraction of within-cluster edges vs delay",
-             within.bins(), cfg);
-  print_bins(
-      "Figure 8 (bottom): overlay shortest-path length (ms) vs edge delay",
-      shortest.bins(), cfg);
+  BenchReport json(std::cout, "bench_fig08_shortest_paths");
+  json.meta(cfg)
+      .field("clusters", clustering.num_clusters())
+      .field("measured_pairs", m.measured_pair_count());
+  emit_delay_bins_json(json, "within_cluster_bin", within.bins());
+  emit_delay_bins_json(json, "shortest_path_bin", shortest.bins());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -3,16 +3,15 @@
 // shape: the nearest-pair curve is only slightly left of the random-pair
 // curve, i.e. proximity does NOT predict severity.
 //
-// --json emits flat records (sections: samples, cdf) for machine-checkable
-// regressions, including the achieved-vs-requested sample accounting.
+// Records: samples (achieved-vs-requested sample accounting per dataset),
+// cdf (nearest-pair and random-pair fractions at each x, per dataset).
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "core/proximity.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -21,11 +20,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("edge-samples", 10000));
   reject_unknown_flags(flags);
 
-  std::optional<BenchReport> json;
-  if (cfg.json) {
-    json.emplace(std::cout, "bench_fig09_proximity");
-    json->meta(cfg);
-  }
+  BenchReport json(std::cout, "bench_fig09_proximity");
+  json.meta(cfg);
 
   const std::vector<double> grid{0.0, 0.02, 0.05, 0.1, 0.2,
                                  0.3, 0.5,  0.75, 1.0, 1.5};
@@ -41,34 +37,26 @@ int main(int argc, char** argv) {
     p.seed = 55 ^ cfg.seed;
     const auto result = core::proximity_experiment(space.measured, p);
     const std::string name = delayspace::dataset_name(id);
-    if (cfg.json) {
-      json->object()
-          .field("section", std::string("samples"))
+    json.object()
+        .field("section", std::string("samples"))
+        .field("dataset", name)
+        .field("edges_requested", result.edges_requested)
+        .field("edges_achieved", result.edges_achieved)
+        .field_bool("sampler_exhausted", result.sampler_exhausted);
+    const Cdf near(result.nearest_pair_diffs);
+    const Cdf rand(result.random_pair_diffs);
+    for (const double x : grid) {
+      json.object()
+          .field("section", std::string("cdf"))
           .field("dataset", name)
-          .field("edges_requested", result.edges_requested)
-          .field("edges_achieved", result.edges_achieved)
-          .field_bool("sampler_exhausted", result.sampler_exhausted);
-      const Cdf near(result.nearest_pair_diffs);
-      const Cdf rand(result.random_pair_diffs);
-      for (const double x : grid) {
-        json->object()
-            .field("section", std::string("cdf"))
-            .field("dataset", name)
-            .field("x", x, 3)
-            .field("nearest_pair", near.fraction_at_most(x), 4)
-            .field("random_pair", rand.fraction_at_most(x), 4);
-      }
-    } else {
-      print_cdfs_on_grid(
-          "Figure 9 (" + name +
-              "): severity difference CDF, nearest vs random pair "
-              "(achieved " +
-              std::to_string(result.edges_achieved) + "/" +
-              std::to_string(result.edges_requested) + " samples)",
-          {"nearest-pair-edges", "random-pair-edges"},
-          {Cdf(result.nearest_pair_diffs), Cdf(result.random_pair_diffs)},
-          grid, cfg);
+          .field("x", x, 3)
+          .field("nearest_pair", near.fraction_at_most(x), 4)
+          .field("random_pair", rand.fraction_at_most(x), 4);
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -3,8 +3,8 @@
 // shape: no equilibrium exists; the per-edge errors oscillate endlessly
 // with large magnitude.
 //
-// --json emits flat records (sections: trace, summary) for machine-checkable
-// regressions; the summary carries the never-converges statistics.
+// Records: trace (one per simulated second: signed error of each edge),
+// summary (the never-converges statistics of |err C-A| over the last half).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -12,7 +12,7 @@
 #include "embedding/vivaldi.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -46,39 +46,25 @@ int main(int argc, char** argv) {
     late = summarize(tail);
   }
 
-  if (cfg.json) {
-    BenchReport json(std::cout, "bench_fig10_threenode_trace");
-    json.meta(cfg);
-    for (std::uint32_t t = 0; t < seconds; ++t) {
-      json.object()
-          .field("section", std::string("trace"))
-          .field("t", t + 1)
-          .field("err_ab", trace.trace(0)[t], 3)
-          .field("err_bc", trace.trace(1)[t], 3)
-          .field("err_ca", trace.trace(2)[t], 3);
-    }
+  BenchReport json(std::cout, "bench_fig10_threenode_trace");
+  json.meta(cfg);
+  for (std::uint32_t t = 0; t < seconds; ++t) {
     json.object()
-        .field("section", std::string("summary"))
-        .field("tail_seconds", seconds / 2)
-        .field("abs_err_ca_median", late.median, 3)
-        .field("abs_err_ca_min", late.min, 3)
-        .field("abs_err_ca_max", late.max, 3);
-    return 0;
+        .field("section", std::string("trace"))
+        .field("t", t + 1)
+        .field("err_ab", trace.trace(0)[t], 3)
+        .field("err_bc", trace.trace(1)[t], 3)
+        .field("err_ca", trace.trace(2)[t], 3);
   }
-
-  print_section(std::cout,
-                "Figure 10: Vivaldi error trace, 3-node TIV network");
-  Table table({"t(s)", "err A-B", "err B-C", "err C-A"});
-  for (std::uint32_t t = 0; t < seconds; t += 5) {
-    table.add_row({std::to_string(t + 1), format_double(trace.trace(0)[t], 2),
-                   format_double(trace.trace(1)[t], 2),
-                   format_double(trace.trace(2)[t], 2)});
-  }
-  emit(table, cfg);
-
-  std::cout << "\n|err C-A| over the last " << seconds / 2
-            << " s: median=" << format_double(late.median, 1)
-            << " ms, range=[" << format_double(late.min, 1) << ", "
-            << format_double(late.max, 1) << "] ms (never converges)\n";
+  json.object()
+      .field("section", std::string("summary"))
+      .field("tail_seconds", seconds / 2)
+      .field("abs_err_ca_median", late.median, 3)
+      .field("abs_err_ca_min", late.min, 3)
+      .field("abs_err_ca_max", late.max, 3);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -1,12 +1,12 @@
 // Figure 11: distribution of per-edge oscillation ranges
 // (max - min predicted delay over a 500 s window) vs edge delay, DS^2.
 // Paper shape: predictions oscillate over large ranges — tens to hundreds
-// of ms — even for very short edges. Also prints the in-text DS^2 numbers
+// of ms — even for very short edges. Also reports the in-text DS^2 numbers
 // (median abs error ~20 ms, 90th ~140 ms; movement 1.61 / 6.18 ms per
 // step).
 //
-// --json emits flat records (sections: bin, intext) for machine-checkable
-// regressions.
+// Records: bin (oscillation range per delay bin), intext (the four in-text
+// statistics, with the paper's values in "paper").
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -14,7 +14,7 @@
 #include "embedding/vivaldi.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   embedding::VivaldiParams vp;
   vp.seed = 5 ^ cfg.seed;
   embedding::VivaldiSystem sys(space.measured, vp);
-  if (!cfg.json) std::cout << "warming up Vivaldi for " << warmup << " s...\n";
   sys.run(warmup);
 
   embedding::OscillationTracker tracker(space.measured, tracked);
@@ -46,38 +45,31 @@ int main(int argc, char** argv) {
   const Summary err = sys.snapshot_error(200000).absolute_error();
   const Summary speed = movement.speed_summary();
 
-  if (cfg.json) {
-    BenchReport json(std::cout, "bench_fig11_oscillation");
-    json.meta(cfg);
-    for (const Bin& b : series.bins()) {
-      json.object()
-          .field("section", std::string("bin"))
-          .field("delay_ms", b.x_center, 1)
-          .field("p10", b.p10, 3)
-          .field("median", b.median, 3)
-          .field("p90", b.p90, 3)
-          .field("mean", b.mean, 3)
-          .field("count", b.count);
-    }
+  BenchReport json(std::cout, "bench_fig11_oscillation");
+  json.meta(cfg);
+  for (const Bin& b : series.bins()) {
     json.object()
-        .field("section", std::string("intext"))
-        .field("median_abs_error_ms", err.median, 2)
-        .field("p90_abs_error_ms", err.p90, 2)
-        .field("median_movement_ms", speed.median, 3)
-        .field("p90_movement_ms", speed.p90, 3);
-    return 0;
+        .field("section", std::string("bin"))
+        .field("delay_ms", b.x_center, 1)
+        .field("p10", b.p10, 3)
+        .field("median", b.median, 3)
+        .field("p90", b.p90, 3)
+        .field("mean", b.mean, 3)
+        .field("count", b.count);
   }
-
-  print_bins("Figure 11: prediction oscillation range (ms) vs edge delay",
-             series.bins(), cfg);
-  print_section(std::cout, "In-text Vivaldi statistics (paper: DS^2)");
-  Table table({"metric", "measured", "paper"});
-  table.add_row({"median abs error (ms)", format_double(err.median, 1), "20"});
-  table.add_row({"90th abs error (ms)", format_double(err.p90, 1), "140"});
-  table.add_row(
-      {"median movement (ms/step)", format_double(speed.median, 2), "1.61"});
-  table.add_row(
-      {"90th movement (ms/step)", format_double(speed.p90, 2), "6.18"});
-  emit(table, cfg);
+  json.object()
+      .field("section", std::string("intext"))
+      .field("median_abs_error_ms", err.median, 2)
+      .field("p90_abs_error_ms", err.p90, 2)
+      .field("median_movement_ms", speed.median, 3)
+      .field("p90_movement_ms", speed.p90, 3)
+      .field("paper", std::string("median_abs_error_ms=20 "
+                                  "p90_abs_error_ms=140 "
+                                  "median_movement_ms=1.61 "
+                                  "p90_movement_ms=6.18"));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -3,16 +3,14 @@
 // tolerates more (lower curves); at beta = 0.5 placement errors run
 // 10-30% below 400 ms and grow sharply beyond.
 //
-// --json emits one flat "bin" record per (beta, delay bin) for
-// machine-checkable regressions.
+// Records: bin (one per beta and delay bin: misplaced-fraction stats).
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "meridian/misplacement.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -21,11 +19,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("sample-pairs", 60000));
   reject_unknown_flags(flags);
 
-  std::optional<BenchReport> json;
-  if (cfg.json) {
-    json.emplace(std::cout, "bench_fig13_misplacement");
-    json->meta(cfg);
-  }
+  BenchReport json(std::cout, "bench_fig13_misplacement");
+  json.meta(cfg);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);
   for (const double beta : {0.1, 0.5, 0.9}) {
@@ -35,23 +30,21 @@ int main(int argc, char** argv) {
     p.sample_pairs = sample_pairs;
     p.seed = 13 ^ cfg.seed;
     const auto bins = meridian::misplacement_series(space.measured, p);
-    if (cfg.json) {
-      for (const Bin& b : bins) {
-        json->object()
-            .field("section", std::string("bin"))
-            .field("beta", beta, 1)
-            .field("delay_ms", b.x_center, 1)
-            .field("p10", b.p10, 4)
-            .field("median", b.median, 4)
-            .field("p90", b.p90, 4)
-            .field("mean", b.mean, 4)
-            .field("count", b.count);
-      }
-    } else {
-      print_bins("Figure 13: fraction of ring members misplaced, beta = " +
-                     format_double(beta, 1),
-                 bins, cfg);
+    for (const Bin& b : bins) {
+      json.object()
+          .field("section", std::string("bin"))
+          .field("beta", beta, 1)
+          .field("delay_ms", b.x_center, 1)
+          .field("p10", b.p10, 4)
+          .field("median", b.median, 4)
+          .field("p90", b.p90, 4)
+          .field("mean", b.mean, 4)
+          .field("count", b.count);
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

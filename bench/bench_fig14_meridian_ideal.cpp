@@ -4,17 +4,17 @@
 // matrix. Paper shape: near-perfect on Euclidean data; on measured data
 // TIVs leave ~13% of queries short of the true nearest node.
 //
-// --json emits flat records (sections: config, cdf, summary) for
-// machine-checkable regressions.
+// Records: config, cdf (penalty CDF per dataset on a log grid), summary
+// (fraction of queries finding the true nearest node, probes per query;
+// the DS2 record carries the paper's value in "paper").
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "delayspace/euclidean.hpp"
 #include "neighbor/meridian_experiment.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -44,53 +44,36 @@ int main(int argc, char** argv) {
   p.meridian.use_termination = false;
   p.meridian.beta = 0.5;
 
-  if (!cfg.json) {
-    std::cout << "hosts: " << n << ", overlay nodes: " << m_nodes
-              << ", runs: " << runs << " (idealized settings)\n";
-  }
   const auto r_euclid = neighbor::run_meridian_experiment(euclid, p);
   const auto r_ds2 = neighbor::run_meridian_experiment(space.measured, p);
 
-  if (cfg.json) {
-    BenchReport json(std::cout, "bench_fig14_meridian_ideal");
-    json.meta(cfg);
-    json.object()
-        .field("section", std::string("config"))
-        .field("hosts", n)
-        .field("overlay_nodes", m_nodes)
-        .field("runs", runs);
-    emit_cdf_grid_json(json, "cdf",
-                       {"Meridian-Euclidean-data", "Meridian-DS2-data"},
-                       {r_euclid.penalties, r_ds2.penalties},
-                       log_grid(1.0, 10000.0), 0);
-    for (const auto& [name, r] :
-         {std::pair<std::string, const neighbor::MeridianExperimentResult&>{
-              "Euclidean", r_euclid},
-          {"DS2", r_ds2}}) {
-      json.object()
-          .field("section", std::string("summary"))
-          .field("dataset", name)
-          .field("fraction_optimal_found", r.fraction_optimal_found, 4)
-          .field("probes_per_query", r.probes_per_query(), 1);
-    }
-    return 0;
-  }
-
-  print_cdfs_on_grid(
-      "Figure 14: Meridian penalty CDF, idealized settings",
-      {"Meridian-Euclidean-data", "Meridian-DS2-data"},
-      {r_euclid.penalties, r_ds2.penalties},
-      log_grid(1.0, 10000.0), cfg, 0);
-
-  print_section(std::cout, "Summary");
-  Table table({"dataset", "found optimal", "probes/query"});
-  table.add_row({"Euclidean",
-                 format_double(r_euclid.fraction_optimal_found, 3),
-                 format_double(r_euclid.probes_per_query(), 1)});
-  table.add_row({"DS2 (TIV)", format_double(r_ds2.fraction_optimal_found, 3),
-                 format_double(r_ds2.probes_per_query(), 1)});
-  emit(table, cfg);
-  std::cout << "(paper: Meridian misses the nearest neighbor in ~13% of "
-               "cases on DS^2 even under ideal settings)\n";
+  BenchReport json(std::cout, "bench_fig14_meridian_ideal");
+  json.meta(cfg);
+  json.object()
+      .field("section", std::string("config"))
+      .field("hosts", n)
+      .field("overlay_nodes", m_nodes)
+      .field("runs", runs);
+  emit_cdf_grid_json(json, "cdf",
+                     {"Meridian-Euclidean-data", "Meridian-DS2-data"},
+                     {r_euclid.penalties, r_ds2.penalties},
+                     log_grid(1.0, 10000.0), 0);
+  json.object()
+      .field("section", std::string("summary"))
+      .field("dataset", std::string("Euclidean"))
+      .field("fraction_optimal_found", r_euclid.fraction_optimal_found, 4)
+      .field("probes_per_query", r_euclid.probes_per_query(), 1);
+  // Paper: even under ideal settings Meridian misses the nearest neighbor
+  // in ~13% of DS^2 queries.
+  json.object()
+      .field("section", std::string("summary"))
+      .field("dataset", std::string("DS2"))
+      .field("fraction_optimal_found", r_ds2.fraction_optimal_found, 4)
+      .field("probes_per_query", r_ds2.probes_per_query(), 1)
+      .field("paper", std::string("~0.87 (misses ~13%)"));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -2,8 +2,8 @@
 // coordinates) vs original Vivaldi, DS^2. Paper shape: IDES — despite being
 // able to represent TIVs — is WORSE than Vivaldi at neighbor selection.
 //
-// --json emits flat records (sections: config, cdf, quantiles) for
-// machine-checkable regressions.
+// Records: config, cdf (penalty CDF per scheme on a log grid), quantiles
+// (the same CDFs read at fixed quantiles).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -12,7 +12,7 @@
 #include "neighbor/selection.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -40,10 +40,6 @@ int main(int argc, char** argv) {
   sp.runs = runs;
   sp.seed = 77 ^ cfg.seed;
   const neighbor::SelectionExperiment exp(space.measured, sp);
-  if (!cfg.json) {
-    std::cout << "hosts: " << n << ", candidates: " << sp.num_candidates
-              << ", runs: " << runs << "\n";
-  }
 
   const Cdf cdf_ides = exp.run([&ides](delayspace::HostId a,
                                        delayspace::HostId b) {
@@ -54,26 +50,20 @@ int main(int argc, char** argv) {
         return vivaldi.predicted(a, b);
       });
 
-  if (cfg.json) {
-    BenchReport json(std::cout, "bench_fig15_ides");
-    json.meta(cfg);
-    json.object()
-        .field("section", std::string("config"))
-        .field("hosts", n)
-        .field("candidates", sp.num_candidates)
-        .field("runs", runs);
-    const std::vector<std::string> names{"IDES", "Vivaldi-original"};
-    const std::vector<Cdf> cdfs{cdf_ides, cdf_vivaldi};
-    emit_cdf_grid_json(json, "cdf", names, cdfs, log_grid(1.0, 10000.0), 0);
-    emit_cdf_quantiles_json(json, "quantiles", names, cdfs);
-    return 0;
-  }
-
-  print_cdfs_on_grid("Figure 15: neighbor selection, IDES vs Vivaldi",
-                     {"IDES", "Vivaldi-original"}, {cdf_ides, cdf_vivaldi},
-                     log_grid(1.0, 10000.0), cfg, 0);
-  print_cdfs_by_quantile("Figure 15 (quantile view)",
-                         {"IDES", "Vivaldi-original"},
-                         {cdf_ides, cdf_vivaldi}, cfg);
+  BenchReport json(std::cout, "bench_fig15_ides");
+  json.meta(cfg);
+  json.object()
+      .field("section", std::string("config"))
+      .field("hosts", n)
+      .field("candidates", sp.num_candidates)
+      .field("runs", runs);
+  const std::vector<std::string> names{"IDES", "Vivaldi-original"};
+  const std::vector<Cdf> cdfs{cdf_ides, cdf_vivaldi};
+  emit_cdf_grid_json(json, "cdf", names, cdfs, log_grid(1.0, 10000.0), 0);
+  emit_cdf_quantiles_json(json, "quantiles", names, cdfs);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -3,8 +3,8 @@
 // marginally different — aggregate-accuracy fixes do not fix neighbor
 // selection.
 //
-// --json emits flat records (sections: config, cdf, quantiles,
-// aggregate_error) for machine-checkable regressions.
+// Records: config, cdf (penalty CDF per scheme on a log grid), quantiles,
+// aggregate_error (median absolute prediction error with and without LAT).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -13,7 +13,7 @@
 #include "neighbor/selection.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -35,10 +35,6 @@ int main(int argc, char** argv) {
   sp.runs = runs;
   sp.seed = 77 ^ cfg.seed;
   const neighbor::SelectionExperiment exp(space.measured, sp);
-  if (!cfg.json) {
-    std::cout << "hosts: " << n << ", candidates: " << sp.num_candidates
-              << ", runs: " << runs << "\n";
-  }
 
   const Cdf cdf_lat =
       exp.run([&](delayspace::HostId a, delayspace::HostId b) {
@@ -62,35 +58,24 @@ int main(int argc, char** argv) {
     lat_acc.add(lat.predicted(vivaldi, i, j), space.measured.at(i, j));
   }
 
-  if (cfg.json) {
-    BenchReport json(std::cout, "bench_fig16_lat");
-    json.meta(cfg);
-    json.object()
-        .field("section", std::string("config"))
-        .field("hosts", n)
-        .field("candidates", sp.num_candidates)
-        .field("runs", runs);
-    const std::vector<std::string> names{"Vivaldi-with-LAT",
-                                         "Vivaldi-original"};
-    const std::vector<Cdf> cdfs{cdf_lat, cdf_vivaldi};
-    emit_cdf_grid_json(json, "cdf", names, cdfs, log_grid(1.0, 10000.0), 0);
-    emit_cdf_quantiles_json(json, "quantiles", names, cdfs);
-    json.object()
-        .field("section", std::string("aggregate_error"))
-        .field("vivaldi_median_abs_ms", plain_err.median, 2)
-        .field("lat_median_abs_ms", lat_acc.absolute_error().median, 2);
-    return 0;
-  }
-
-  print_cdfs_on_grid("Figure 16: neighbor selection, Vivaldi+LAT vs Vivaldi",
-                     {"Vivaldi-with-LAT", "Vivaldi-original"},
-                     {cdf_lat, cdf_vivaldi}, log_grid(1.0, 10000.0), cfg, 0);
-  print_cdfs_by_quantile("Figure 16 (quantile view)",
-                         {"Vivaldi-with-LAT", "Vivaldi-original"},
-                         {cdf_lat, cdf_vivaldi}, cfg);
-  std::cout << "\naggregate median abs error: Vivaldi="
-            << format_double(plain_err.median, 1)
-            << " ms, Vivaldi+LAT="
-            << format_double(lat_acc.absolute_error().median, 1) << " ms\n";
+  BenchReport json(std::cout, "bench_fig16_lat");
+  json.meta(cfg);
+  json.object()
+      .field("section", std::string("config"))
+      .field("hosts", n)
+      .field("candidates", sp.num_candidates)
+      .field("runs", runs);
+  const std::vector<std::string> names{"Vivaldi-with-LAT", "Vivaldi-original"};
+  const std::vector<Cdf> cdfs{cdf_lat, cdf_vivaldi};
+  emit_cdf_grid_json(json, "cdf", names, cdfs, log_grid(1.0, 10000.0), 0);
+  emit_cdf_quantiles_json(json, "quantiles", names, cdfs);
+  json.object()
+      .field("section", std::string("aggregate_error"))
+      .field("vivaldi_median_abs_ms", plain_err.median, 2)
+      .field("lat_median_abs_ms", lat_acc.absolute_error().median, 2);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -3,8 +3,8 @@
 // marginal improvement; TIV is too widespread for outlier removal to fix
 // the embedding.
 //
-// --json emits flat records (sections: config, cdf, quantiles) for
-// machine-checkable regressions.
+// Records: config (also the filtered-edge count and severity cutoff), cdf
+// (penalty CDF per scheme on a log grid), quantiles.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -14,7 +14,7 @@
 #include "neighbor/selection.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -25,18 +25,9 @@ int main(int argc, char** argv) {
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);
   const auto n = space.measured.size();
-  if (!cfg.json) {
-    std::cout << "computing all-edge severities (global knowledge) for " << n
-              << " hosts...\n";
-  }
   const core::SeverityMatrix sev =
       core::TivAnalyzer(space.measured).all_severities();
   const core::SeverityFilter filter(space.measured, sev, worst);
-  if (!cfg.json) {
-    std::cout << "filtered " << filter.filtered_count()
-              << " edges (severity >= "
-              << format_double(filter.cutoff_severity(), 3) << ")\n";
-  }
 
   embedding::VivaldiParams vp;
   vp.seed = 3 ^ cfg.seed;
@@ -62,31 +53,23 @@ int main(int argc, char** argv) {
         return filtered.predicted(a, b);
       });
 
-  if (cfg.json) {
-    BenchReport json(std::cout, "bench_fig17_vivaldi_filter");
-    json.meta(cfg);
-    json.object()
-        .field("section", std::string("config"))
-        .field("hosts", n)
-        .field("worst_fraction", worst, 3)
-        .field("filtered_edges", filter.filtered_count())
-        .field("cutoff_severity", filter.cutoff_severity(), 4)
-        .field("runs", runs);
-    const std::vector<std::string> names{"Vivaldi-original",
-                                         "Vivaldi-TIV-severity-filter"};
-    const std::vector<Cdf> cdfs{cdf_orig, cdf_filt};
-    emit_cdf_grid_json(json, "cdf", names, cdfs, log_grid(1.0, 10000.0), 0);
-    emit_cdf_quantiles_json(json, "quantiles", names, cdfs);
-    return 0;
-  }
-
-  print_cdfs_on_grid(
-      "Figure 17: Vivaldi with global TIV-severity filter (worst " +
-          format_double(100 * worst, 0) + "% edges removed)",
-      {"Vivaldi-original", "Vivaldi-TIV-severity-filter"},
-      {cdf_orig, cdf_filt}, log_grid(1.0, 10000.0), cfg, 0);
-  print_cdfs_by_quantile("Figure 17 (quantile view)",
-                         {"Vivaldi-original", "Vivaldi-TIV-severity-filter"},
-                         {cdf_orig, cdf_filt}, cfg);
+  BenchReport json(std::cout, "bench_fig17_vivaldi_filter");
+  json.meta(cfg);
+  json.object()
+      .field("section", std::string("config"))
+      .field("hosts", n)
+      .field("worst_fraction", worst, 3)
+      .field("filtered_edges", filter.filtered_count())
+      .field("cutoff_severity", filter.cutoff_severity(), 4)
+      .field("runs", runs);
+  const std::vector<std::string> names{"Vivaldi-original",
+                                       "Vivaldi-TIV-severity-filter"};
+  const std::vector<Cdf> cdfs{cdf_orig, cdf_filt};
+  emit_cdf_grid_json(json, "cdf", names, cdfs, log_grid(1.0, 10000.0), 0);
+  emit_cdf_quantiles_json(json, "quantiles", names, cdfs);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -3,8 +3,9 @@
 // removed edges were needed for query routing, leaving rings under-
 // populated (up to 50% in the paper).
 //
-// --json emits flat records (sections: config, cdf, ring_occupancy) for
-// machine-checkable regressions.
+// Records: config (with the paper's ring-loss figure in "paper"), cdf
+// (penalty CDF per scheme on a log grid), ring_occupancy (members per ring
+// of one overlay, with and without the filter, and the loss in percent).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -13,7 +14,7 @@
 #include "neighbor/meridian_experiment.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -24,9 +25,6 @@ int main(int argc, char** argv) {
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);
   const auto n = space.measured.size();
-  if (!cfg.json) {
-    std::cout << "computing all-edge severities for " << n << " hosts...\n";
-  }
   const core::SeverityMatrix sev =
       core::TivAnalyzer(space.measured).all_severities();
   const core::SeverityFilter filter(space.measured, sev, worst);
@@ -46,16 +44,7 @@ int main(int argc, char** argv) {
   const auto with_filter =
       neighbor::run_meridian_experiment(space.measured, p);
 
-  if (!cfg.json) {
-    print_cdfs_on_grid(
-        "Figure 18: Meridian with global TIV-severity filter",
-        {"Meridian-original", "Meridian-TIV-severity-filter"},
-        {original.penalties, with_filter.penalties}, log_grid(1.0, 10000.0),
-        cfg, 0);
-
-    // Demonstrate the ring under-population mechanism.
-    print_section(std::cout, "Ring occupancy (one run's overlay, summed)");
-  }
+  // The ring under-population mechanism, on one run's overlay.
   std::vector<delayspace::HostId> overlay_nodes;
   for (delayspace::HostId i = 0; i < n / 2; ++i) overlay_nodes.push_back(i);
   meridian::MeridianParams mp;
@@ -65,40 +54,35 @@ int main(int argc, char** argv) {
   const auto occ_a = plain.ring_occupancy();
   const auto occ_b = pruned.ring_occupancy();
 
-  if (cfg.json) {
-    BenchReport json(std::cout, "bench_fig18_meridian_filter");
-    json.meta(cfg);
-    json.object()
-        .field("section", std::string("config"))
-        .field("hosts", n)
-        .field("worst_fraction", worst, 3)
-        .field("runs", runs);
-    emit_cdf_grid_json(json, "cdf",
-                       {"Meridian-original", "Meridian-TIV-severity-filter"},
-                       {original.penalties, with_filter.penalties},
-                       log_grid(1.0, 10000.0), 0);
-    for (std::size_t r = 1; r < occ_a.size(); ++r) {
-      if (occ_a[r] == 0) continue;
-      json.object()
-          .field("section", std::string("ring_occupancy"))
-          .field("ring", r)
-          .field("members_original", occ_a[r])
-          .field("members_filtered", occ_b[r]);
-    }
-    return 0;
-  }
-
-  Table table({"ring", "members (original)", "members (filtered)", "loss %"});
+  BenchReport json(std::cout, "bench_fig18_meridian_filter");
+  json.meta(cfg);
+  json.object()
+      .field("section", std::string("config"))
+      .field("hosts", n)
+      .field("worst_fraction", worst, 3)
+      .field("runs", runs)
+      .field("paper", std::string("certain rings lose up to 50% of their "
+                                  "members"));
+  emit_cdf_grid_json(json, "cdf",
+                     {"Meridian-original", "Meridian-TIV-severity-filter"},
+                     {original.penalties, with_filter.penalties},
+                     log_grid(1.0, 10000.0), 0);
   for (std::size_t r = 1; r < occ_a.size(); ++r) {
     if (occ_a[r] == 0) continue;
     const double loss = 100.0 *
                         (static_cast<double>(occ_a[r]) -
                          static_cast<double>(occ_b[r])) /
                         static_cast<double>(occ_a[r]);
-    table.add_row({std::to_string(r), std::to_string(occ_a[r]),
-                   std::to_string(occ_b[r]), format_double(loss, 1)});
+    json.object()
+        .field("section", std::string("ring_occupancy"))
+        .field("ring", r)
+        .field("members_original", occ_a[r])
+        .field("members_filtered", occ_b[r])
+        .field("loss_pct", loss, 1);
   }
-  emit(table, cfg);
-  std::cout << "(paper: certain rings lose up to 50% of their members)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

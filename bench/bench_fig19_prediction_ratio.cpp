@@ -4,8 +4,7 @@
 // severity falls as the ratio rises and is ~0 beyond ratio 2. Huge spread
 // within each bin — a heuristic alarm, not a severity predictor.
 //
-// --json emits flat records (sections: config, bins) for machine-checkable
-// regressions.
+// Records: config, bins (severity stats per 0.1-wide ratio bin).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -13,7 +12,7 @@
 #include "embedding/vivaldi.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -27,10 +26,6 @@ int main(int argc, char** argv) {
   embedding::VivaldiParams vp;
   vp.seed = 3 ^ cfg.seed;
   embedding::VivaldiSystem vivaldi(space.measured, vp);
-  if (!cfg.json) {
-    std::cout << "embedding " << space.measured.size() << " hosts for "
-              << warmup << " s...\n";
-  }
   vivaldi.run(warmup);
 
   const auto ratio_samples =
@@ -40,19 +35,17 @@ int main(int argc, char** argv) {
     if (!std::isnan(s.ratio)) series.add(s.ratio, s.severity);
   }
 
-  if (cfg.json) {
-    BenchReport json(std::cout, "bench_fig19_prediction_ratio");
-    json.meta(cfg);
-    json.object()
-        .field("section", std::string("config"))
-        .field("hosts", space.measured.size())
-        .field("edge_samples", samples)
-        .field("warmup_s", warmup);
-    emit_bins_json(json, "bins", series.bins(), 2);
-    return 0;
-  }
-
-  print_bins("Figure 19: TIV severity vs prediction ratio (0.1 bins)",
-             series.bins(), cfg, 2);
+  BenchReport json(std::cout, "bench_fig19_prediction_ratio");
+  json.meta(cfg);
+  json.object()
+      .field("section", std::string("config"))
+      .field("hosts", space.measured.size())
+      .field("edge_samples", samples)
+      .field("warmup_s", warmup);
+  emit_bins_json(json, "bins", series.bins(), 2);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -2,8 +2,10 @@
 // dynamic-neighbor iterations {0, 1, 2, 5, 10}. Paper shape: each iteration
 // shifts the distribution left — the alert-driven neighbor update steadily
 // eliminates severe-TIV edges from the probing sets.
+//
+// Records: iteration (mean neighbor-edge severity per snapshot),
+// severity_cdf (the CDF per snapshot on a fixed severity grid).
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "core/dynamic_neighbor.hpp"
@@ -11,7 +13,7 @@
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -20,11 +22,8 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.get_int("period", 100));
   reject_unknown_flags(flags);
 
-  std::optional<BenchReport> json;
-  if (cfg.json) {
-    json.emplace(std::cout, "bench_fig22_dynneigh_severity");
-    json->meta(cfg);
-  }
+  BenchReport json(std::cout, "bench_fig22_dynneigh_severity");
+  json.meta(cfg);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);
   const core::TivAnalyzer analyzer(space.measured);
@@ -58,25 +57,20 @@ int main(int argc, char** argv) {
     names.push_back("iter" + std::to_string(snap));
     cdfs.push_back(severity_cdf());
     means.push_back(summarize(cdfs.back().sorted_values()).mean);
-    (cfg.json ? std::cerr : std::cout)
-        << "iteration " << snap << ": mean neighbor-edge severity = "
-        << format_double(means.back(), 4) << "\n";
   }
 
   const std::vector<double> grid{0.0,  0.01, 0.02, 0.05, 0.10,
                                  0.15, 0.20, 0.30, 0.40, 0.50};
-  if (cfg.json) {
-    for (std::size_t s = 0; s < snapshots.size(); ++s) {
-      json->object()
-          .field("section", std::string("iteration"))
-          .field("iteration", snapshots[s])
-          .field("mean_severity", means[s], 4);
-    }
-    emit_cdf_grid_json(*json, "severity_cdf", names, cdfs, grid);
-    return 0;
+  for (std::size_t s = 0; s < snapshots.size(); ++s) {
+    json.object()
+        .field("section", std::string("iteration"))
+        .field("iteration", snapshots[s])
+        .field("mean_severity", means[s], 4);
   }
-  print_cdfs_on_grid(
-      "Figure 22: TIV severity CDF of Vivaldi neighbor edges per iteration",
-      names, cdfs, grid, cfg);
+  emit_cdf_grid_json(json, "severity_cdf", names, cdfs, grid);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -2,15 +2,17 @@
 // iterations {0, 1, 2, 5, 10} vs original Vivaldi. Paper shape: penalties
 // improve monotonically with iterations; by iteration 10 the curve clearly
 // dominates original Vivaldi — unlike every strawman in §4.
+//
+// Records: config, penalty_cdf (penalty CDF per snapshot on a log grid),
+// penalty_quantiles.
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "core/dynamic_neighbor.hpp"
 #include "neighbor/selection.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -20,11 +22,8 @@ int main(int argc, char** argv) {
   const auto runs = static_cast<std::uint32_t>(flags.get_int("runs", 5));
   reject_unknown_flags(flags);
 
-  std::optional<BenchReport> json;
-  if (cfg.json) {
-    json.emplace(std::cout, "bench_fig23_dynneigh_penalty");
-    json->meta(cfg);
-  }
+  BenchReport json(std::cout, "bench_fig23_dynneigh_penalty");
+  json.meta(cfg);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);
   const auto n = space.measured.size();
@@ -34,9 +33,11 @@ int main(int argc, char** argv) {
   sp.runs = runs;
   sp.seed = 77 ^ cfg.seed;
   const neighbor::SelectionExperiment exp(space.measured, sp);
-  (cfg.json ? std::cerr : std::cout)
-      << "hosts: " << n << ", candidates: " << sp.num_candidates
-      << ", runs: " << runs << "\n";
+  json.object()
+      .field("section", std::string("config"))
+      .field("hosts", n)
+      .field("candidates", sp.num_candidates)
+      .field("runs", runs);
 
   embedding::VivaldiParams vp;
   vp.seed = 3 ^ cfg.seed;
@@ -65,15 +66,12 @@ int main(int argc, char** argv) {
     cdfs.push_back(penalty_cdf());
   }
 
-  if (cfg.json) {
-    emit_cdf_grid_json(*json, "penalty_cdf", names, cdfs,
-                       log_grid(1.0, 10000.0), 0);
-    emit_cdf_quantiles_json(*json, "penalty_quantiles", names, cdfs);
-    return 0;
-  }
-  print_cdfs_on_grid(
-      "Figure 23: neighbor selection, dynamic-neighbor Vivaldi",
-      names, cdfs, log_grid(1.0, 10000.0), cfg, 0);
-  print_cdfs_by_quantile("Figure 23 (quantile view)", names, cdfs, cfg);
+  emit_cdf_grid_json(json, "penalty_cdf", names, cdfs, log_grid(1.0, 10000.0),
+                     0);
+  emit_cdf_quantiles_json(json, "penalty_quantiles", names, cdfs);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

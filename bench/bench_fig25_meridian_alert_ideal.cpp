@@ -4,8 +4,10 @@
 // no-termination variant. Paper shape: TIV alert beats even the
 // no-termination ideal at ~5% extra probes, because it copes with TIV
 // directly instead of merely probing more.
+//
+// Records: config, penalty_cdf (per scheme on a log grid), probes (per
+// scheme), alert_quality.
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "core/alert.hpp"
@@ -48,7 +50,7 @@ void emit_alert_quality(tiv::bench::BenchReport& json,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
@@ -58,11 +60,8 @@ int main(int argc, char** argv) {
   const auto runs = static_cast<std::uint32_t>(flags.get_int("runs", 3));
   reject_unknown_flags(flags);
 
-  std::optional<BenchReport> json;
-  if (cfg.json) {
-    json.emplace(std::cout, "bench_fig25_meridian_alert_ideal");
-    json->meta(cfg);
-  }
+  BenchReport json(std::cout, "bench_fig25_meridian_alert_ideal");
+  json.meta(cfg);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);
   const auto n = space.measured.size();
@@ -80,9 +79,11 @@ int main(int argc, char** argv) {
   p.seed = 99 ^ cfg.seed;
   p.meridian.ring_capacity = 100000;  // full rings
   p.meridian.num_rings = 20;
-  (cfg.json ? std::cerr : std::cout)
-      << "hosts: " << n << ", overlay: " << m_nodes << " (full rings), runs: "
-      << runs << "\n";
+  json.object()
+      .field("section", std::string("config"))
+      .field("hosts", n)
+      .field("overlay_nodes", m_nodes)
+      .field("runs", runs);
 
   const auto original = neighbor::run_meridian_experiment(space.measured, p);
 
@@ -96,52 +97,30 @@ int main(int argc, char** argv) {
   const auto ideal =
       neighbor::run_meridian_experiment(space.measured, p_ideal);
 
-  if (cfg.json) {
-    const std::vector<std::string> names{
-        "Meridian-original", "Meridian-TIV-alert", "Meridian-no-termination"};
-    const neighbor::MeridianExperimentResult* results[] = {&original, &alert,
-                                                           &ideal};
-    emit_cdf_grid_json(*json, "penalty_cdf", names,
-                       {original.penalties, alert.penalties, ideal.penalties},
-                       log_grid(1.0, 10000.0), 0);
-    for (int s = 0; s < 3; ++s) {
-      json->object()
-          .field("section", std::string("probes"))
-          .field("scheme", names[s])
-          .field("probes_per_query", results[s]->probes_per_query(), 1)
-          .field("overhead_pct",
-                 100.0 * (results[s]->probes_per_query() /
-                              original.probes_per_query() -
-                          1.0),
-                 1)
-          .field("fraction_optimal_found", results[s]->fraction_optimal_found,
-                 4);
-    }
-    emit_alert_quality(*json, vivaldi, cfg.seed);
-    return 0;
+  const std::vector<std::string> names{
+      "Meridian-original", "Meridian-TIV-alert", "Meridian-no-termination"};
+  const neighbor::MeridianExperimentResult* results[] = {&original, &alert,
+                                                         &ideal};
+  emit_cdf_grid_json(json, "penalty_cdf", names,
+                     {original.penalties, alert.penalties, ideal.penalties},
+                     log_grid(1.0, 10000.0), 0);
+  for (int s = 0; s < 3; ++s) {
+    json.object()
+        .field("section", std::string("probes"))
+        .field("scheme", names[s])
+        .field("probes_per_query", results[s]->probes_per_query(), 1)
+        .field("overhead_pct",
+               100.0 * (results[s]->probes_per_query() /
+                            original.probes_per_query() -
+                        1.0),
+               1)
+        .field("fraction_optimal_found", results[s]->fraction_optimal_found,
+               4);
   }
-
-  print_cdfs_on_grid(
-      "Figure 25: Meridian with TIV alert (200-node full-ring setting)",
-      {"Meridian-original", "Meridian-TIV-alert", "Meridian-no-termination"},
-      {original.penalties, alert.penalties, ideal.penalties},
-      log_grid(1.0, 10000.0), cfg, 0);
-
-  print_section(std::cout, "Probe accounting");
-  Table table({"scheme", "probes/query", "overhead %", "found optimal"});
-  auto add = [&](const std::string& name,
-                 const neighbor::MeridianExperimentResult& r) {
-    table.add_row(
-        {name, format_double(r.probes_per_query(), 1),
-         format_double(100.0 * (r.probes_per_query() /
-                                    original.probes_per_query() -
-                                1.0),
-                       1),
-         format_double(r.fraction_optimal_found, 3)});
-  };
-  add("Meridian-original", original);
-  add("Meridian-TIV-alert", alert);
-  add("Meridian-no-termination", ideal);
-  emit(table, cfg);
+  emit_alert_quality(json, vivaldi, cfg.seed);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

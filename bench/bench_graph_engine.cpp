@@ -17,7 +17,6 @@
 //   --quick        small topologies, 1 repetition (CI smoke run)
 //   --threads=T    benchmark only thread count T (default: 1, 2, 4, hw)
 //   --seed=S       xor-ed into the topology generator seed
-//   --json         accepted for uniformity; output is always JSON
 //   --profile-out=PATH  run the sampling profiler (src/obs/prof.hpp) for
 //                       the whole bench and write its JSON profile to PATH
 //   --profile-hz=HZ     sampling rate when profiling (default 97)
@@ -63,12 +62,11 @@ std::uint64_t scratch_allocs_now() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const auto only_threads = flags.get_int("threads", 0);
-  (void)flags.get_bool("json", true);  // always JSON, flag kept for symmetry
   const std::string profile_out = flags.get_string("profile-out", "");
   const double profile_hz = flags.get_double("profile-hz", 97.0);
   tiv::reject_unknown_flags(flags);
@@ -251,4 +249,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -8,10 +8,13 @@
 //        6.18 ms per step;
 //   §2.2 within-cluster edges average fewer violations than cross-cluster
 //        (80 vs 206).
+//
+// Records: config, claim (one per claim: measured value next to the
+// paper's). Absolute values depend on the synthetic matrix scale; the
+// reproduction targets direction and rough magnitude.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
-#include <optional>
 
 #include "bench_common.hpp"
 #include "core/cluster_analysis.hpp"
@@ -22,42 +25,36 @@
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace tiv;
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 600);
   reject_unknown_flags(flags);
 
-  std::optional<BenchReport> json;
-  if (cfg.json) {
-    json.emplace(std::cout, "bench_intext_claims");
-    json->meta(cfg);
-  }
+  BenchReport json(std::cout, "bench_intext_claims");
+  json.meta(cfg);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);
   const auto& m = space.measured;
   const core::TivAnalyzer analyzer(m);
-  (cfg.json ? std::cerr : std::cout) << "dataset: " << m.size() << " hosts\n";
+  json.object()
+      .field("section", std::string("config"))
+      .field("hosts", m.size());
 
-  Table table({"claim", "measured", "paper"});
-  // Each claim lands in the table and, under --json, as one flat record
+  // Each claim is one flat record
   // {"section":"claim","name":...,"measured":...,"paper":...} so CI can
   // assert on individual values. NaN marks a claim that could not be
   // computed at this scale (emitted with measured_valid:false).
   auto claim = [&](const std::string& name, double measured, int decimals,
                    const std::string& paper) {
     const bool valid = !std::isnan(measured);
-    table.add_row({name, valid ? format_double(measured, decimals) : "-",
-                   paper});
-    if (cfg.json) {
-      json->object()
-          .field("section", std::string("claim"))
-          .field("name", name)
-          .field("measured", valid ? measured : 0.0, decimals)
-          .field_bool("measured_valid", valid)
-          .field("paper", paper);
-    }
+    json.object()
+        .field("section", std::string("claim"))
+        .field("name", name)
+        .field("measured", valid ? measured : 0.0, decimals)
+        .field_bool("measured_valid", valid)
+        .field("paper", paper);
   };
 
   // --- Violating triangle fraction.
@@ -149,10 +146,9 @@ int main(int argc, char** argv) {
           "206");
   }
 
-  if (cfg.json) return 0;
-  print_section(std::cout, "In-text claims: paper vs this reproduction");
-  emit(table, cfg);
-  std::cout << "(absolute values depend on the synthetic matrix scale; the "
-               "reproduction targets direction and rough magnitude)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

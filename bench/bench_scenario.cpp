@@ -156,7 +156,6 @@ void emit_scenario_record(tiv::bench::BenchReport& json,
 int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  flags.get_bool("json", false);  // accepted for uniformity; always JSON
   const auto n = static_cast<tiv::delayspace::HostId>(
       flags.get_int("hosts", quick ? 96 : 160));
   const auto epochs =

@@ -81,7 +81,7 @@ double max_rel_err(const SeverityMatrix& got, const SeverityMatrix& want) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
@@ -161,4 +161,8 @@ int main(int argc, char** argv) {
   }
   tiv::set_parallel_thread_count(0);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(bench_main, argc, argv);
 }

@@ -173,7 +173,6 @@ int bench_main(int argc, char** argv) {
     tiv::bench::BenchConfig bench_cfg;
     bench_cfg.hosts = n_big;
     bench_cfg.seed = seed;
-    bench_cfg.json = true;
     tiv::bench::BenchReport json(std::cout, "bench_shard_severity");
     json.meta(bench_cfg)
         .field("tile_dim", tile_dim)

@@ -126,7 +126,6 @@ std::string scratch_file(const std::string& dir, const std::string& tag) {
 int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  flags.get_bool("json", false);  // accepted for uniformity; always JSON
   const auto n =
       static_cast<HostId>(flags.get_int("hosts", quick ? 128 : 512));
   const auto tile_dim =

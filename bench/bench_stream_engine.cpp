@@ -14,8 +14,7 @@
 //     for many epochs, with a final bit-identity check — the long-horizon
 //     drift test.
 //
-// Output is a JSON record array (machine-checkable; --json is accepted for
-// CI-invocation uniformity but this bench never prints tables).
+// Output is a JSON record array (machine-checkable).
 //
 // Flags:
 //   --quick        n = 96, 2 epochs/point (CI smoke run)
@@ -99,7 +98,6 @@ std::size_t replay_churn_epoch(DelayStream& stream, Rng& rng,
 int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  flags.get_bool("json", false);  // accepted for uniformity; always JSON
   const auto n =
       static_cast<HostId>(flags.get_int("hosts", quick ? 96 : 512));
   const double missing = flags.get_double("missing", 0.1);
@@ -114,7 +112,6 @@ int bench_main(int argc, char** argv) {
   tiv::bench::BenchConfig bench_cfg;
   bench_cfg.hosts = n;
   bench_cfg.seed = seed;
-  bench_cfg.json = true;
   tiv::bench::BenchReport json(std::cout, "bench_stream_engine");
   json.meta(bench_cfg)
       .field("epochs", epochs)

@@ -12,7 +12,7 @@
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace tiv;
   const Flags flags(argc, argv);
   const auto hosts = static_cast<std::uint32_t>(flags.get_int("hosts", 500));
@@ -72,4 +72,8 @@ int main(int argc, char** argv) {
                              1)
             << "% of the random-relay budget\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(example_main, argc, argv);
 }

@@ -1,7 +1,13 @@
-// Out-of-core streaming TIV monitor: the streaming_monitor example's live
-// pipeline rebuilt on ShardStreamEngine — continuous measurement ingestion
-// with live severity maintenance where *neither the delay matrix nor the
-// severity result is held in memory*.
+// Out-of-core streaming TIV monitor: continuous measurement ingestion with
+// live severity maintenance on ShardStreamEngine, where *neither the delay
+// matrix nor the severity result is held in memory*.
+//
+// A synthetic DS^2-like delay space plays the live network. Each round
+// re-measures ~2% of the hosts' edges with noise around the true delay and
+// a 5% outage / recovery mix (measured <-> missing churn); the samples are
+// smoothed by an EWMA DelayStream before the engine repairs the severities
+// they touch. (The in-memory IncrementalSeverity path behind the same
+// stream is exercised by test_stream_engine and bench_stream_engine.)
 //
 // The engine spills the matrix to an on-disk tile store and the severities
 // to an on-disk severity tile sink, then keeps both repaired under a

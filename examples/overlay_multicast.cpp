@@ -33,7 +33,7 @@ struct Tree {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace tiv;
   const Flags flags(argc, argv);
   const auto hosts = static_cast<std::uint32_t>(flags.get_int("hosts", 500));
@@ -140,4 +140,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "(stretch = tree path delay from the root / direct delay)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(example_main, argc, argv);
 }

@@ -16,7 +16,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace tiv;
   const Flags flags(argc, argv);
   const auto hosts = static_cast<std::uint32_t>(flags.get_int("hosts", 400));
@@ -89,4 +89,8 @@ int main(int argc, char** argv) {
   std::cout << "\nMost severe alerted edges:\n";
   table.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(example_main, argc, argv);
 }

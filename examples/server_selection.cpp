@@ -20,7 +20,7 @@
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace tiv;
   using delayspace::HostId;
   const Flags flags(argc, argv);
@@ -120,4 +120,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(example_main, argc, argv);
 }

@@ -30,7 +30,7 @@ tiv::delayspace::DatasetId parse_dataset(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int example_main(int argc, char** argv) {
   using namespace tiv;
   const Flags flags(argc, argv);
   const std::string matrix_path = flags.get_string("matrix", "");
@@ -114,4 +114,8 @@ int main(int argc, char** argv) {
   }
   wt.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return tiv::run_main(example_main, argc, argv);
 }

@@ -1,7 +1,6 @@
 #include "core/cluster_analysis.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <span>
 #include <utility>
 
@@ -98,25 +97,6 @@ std::vector<std::vector<double>> severity_cluster_grid(
     }
   }
   return grid;
-}
-
-void print_severity_grid(std::ostream& os,
-                         const std::vector<std::vector<double>>& grid) {
-  // ASCII luminance ramp, dark -> bright.
-  static constexpr char kRamp[] = " .:-=+*#%@";
-  constexpr std::size_t kLevels = sizeof(kRamp) - 2;
-  double max_v = 0.0;
-  for (const auto& row : grid) {
-    for (double v : row) max_v = std::max(max_v, v);
-  }
-  for (const auto& row : grid) {
-    for (double v : row) {
-      const auto level =
-          max_v > 0.0 ? static_cast<std::size_t>(v / max_v * kLevels) : 0;
-      os << kRamp[std::min(level, kLevels)];
-    }
-    os << '\n';
-  }
 }
 
 }  // namespace tiv::core

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "core/severity.hpp"
@@ -42,15 +41,10 @@ ClusterTivStats cluster_tiv_stats(const DelayMatrix& matrix,
 
 /// The Fig. 3 matrix: severities reordered so nodes of the same cluster are
 /// adjacent (largest cluster first, noise last), downsampled to a
-/// grid_size x grid_size grid by block averaging so it can be printed.
+/// grid_size x grid_size grid by block averaging so it can be plotted.
 /// grid[r][g] is the mean severity of the block.
 std::vector<std::vector<double>> severity_cluster_grid(
     const DelayMatrix& matrix, const SeverityMatrix& sev,
     const delayspace::Clustering& clustering, std::size_t grid_size);
-
-/// Renders the grid as ASCII art (dark = low severity, bright = high),
-/// mirroring the paper's grayscale convention (white = most severe).
-void print_severity_grid(std::ostream& os,
-                         const std::vector<std::vector<double>>& grid);
 
 }  // namespace tiv::core

@@ -30,7 +30,9 @@ struct PairSampleOptions {
   /// Also reject measured pairs with zero delay (detour routing divides by
   /// and compares against the direct delay).
   bool require_positive = false;
-  /// Rejection budget: at most attempts_per_pair * target draws in total.
+  /// Rejection budget: at most attempts_per_pair * target draws in total
+  /// (saturating; the sampler also stops once every measured pair has been
+  /// returned, so a huge target cannot spin).
   /// Misses, unmeasured pairs, and duplicates all consume attempts, so on a
   /// mostly-missing matrix — or when target approaches the number of
   /// measured edges — the sampler exhausts rather than looping forever.
@@ -64,6 +66,9 @@ class MeasuredPairSampler {
   const DelayMatrix& matrix_;
   std::size_t target_;
   std::size_t budget_;
+  /// Eligible pairs in the matrix when target exceeds n(n-1)/2 (next()
+  /// stops once all are returned); SIZE_MAX otherwise.
+  std::size_t eligible_;
   PairSampleOptions options_;
   Rng rng_;
   std::unordered_set<std::uint64_t> seen_;

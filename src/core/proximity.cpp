@@ -1,5 +1,6 @@
 #include "core/proximity.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 
@@ -44,7 +45,9 @@ ProximityResult proximity_experiment(const DelayMatrix& matrix,
   MeasuredPairSampler sampler(matrix, params.sample_edges, params.seed);
   Rng random_pair_rng(params.seed ^ 0xd1b54a32d192ed03ULL);
   std::vector<Sample> samples;
-  samples.reserve(params.sample_edges);
+  // At most n(n-1)/2 distinct edges exist, whatever the request.
+  samples.reserve(std::min<std::size_t>(
+      params.sample_edges, static_cast<std::size_t>(n) * (n - 1) / 2));
   while (samples.size() < params.sample_edges) {
     const auto edge = sampler.next();
     if (!edge) break;

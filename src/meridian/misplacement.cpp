@@ -1,5 +1,7 @@
 #include "meridian/misplacement.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 #include "delayspace/delay_matrix.hpp"
@@ -110,17 +112,29 @@ std::vector<PairResult> evaluate_all(const DelayMatrix& matrix,
     }
   } else {
     Rng rng(params.seed);
-    pairs.reserve(params.sample_pairs);
     // Without replacement (ordered pairs): a duplicate draw would double-
-    // count its pair in the fraction/series averages — the same estimator
-    // skew PR 1 removed from sampled_severities. Duplicates consume
+    // count its pair in the fraction/series averages — the estimator skew
+    // the shared pair sampler (core/edge_sampling) avoids. Duplicates consume
     // attempts, so near-exhaustive sampling may return fewer pairs rather
     // than loop forever.
+    //
+    // Sized by the matrix, not the request: at most n(n-1) ordered pairs
+    // exist, the 20-draws-per-pair budget saturates, and a request beyond
+    // n(n-1) stops once every measured ordered pair is drawn (any later
+    // draw would be a rejected duplicate, so the pairs are unchanged).
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    const std::size_t ordered = static_cast<std::size_t>(n) * (n - 1);
+    const std::size_t measured =
+        params.sample_pairs > ordered ? 2 * matrix.measured_pair_count() : kMax;
+    const std::size_t budget = params.sample_pairs > kMax / 20
+                                   ? kMax
+                                   : params.sample_pairs * 20;
+    pairs.reserve(std::min(params.sample_pairs, ordered));
     std::unordered_set<std::uint64_t> seen;
-    seen.reserve(params.sample_pairs * 2);
+    seen.reserve(std::min(params.sample_pairs, ordered / 2) * 2);
     std::size_t attempts = 0;
-    while (pairs.size() < params.sample_pairs &&
-           attempts < params.sample_pairs * 20) {
+    while (pairs.size() < params.sample_pairs && attempts < budget &&
+           seen.size() < measured) {
       ++attempts;
       const auto i = static_cast<HostId>(rng.uniform_index(n));
       const auto j = static_cast<HostId>(rng.uniform_index(n));

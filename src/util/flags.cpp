@@ -52,24 +52,31 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
   consumed_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
+  // The whole value must parse: "12abc" is an error, not 12.
+  std::size_t end = 0;
   try {
-    return std::stoll(it->second);
+    const std::int64_t v = std::stoll(it->second, &end);
+    if (end == it->second.size()) return v;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name +
-                                " expects an integer, got: " + it->second);
+    // out of range or no digits: reported below
   }
+  throw std::invalid_argument("flag --" + name +
+                              " expects an integer, got: " + it->second);
 }
 
 double Flags::get_double(const std::string& name, double def) const {
   consumed_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
+  std::size_t end = 0;
   try {
-    return std::stod(it->second);
+    const double v = std::stod(it->second, &end);
+    if (end == it->second.size()) return v;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name +
-                                " expects a number, got: " + it->second);
+    // out of range or no digits: reported below
   }
+  throw std::invalid_argument("flag --" + name +
+                              " expects a number, got: " + it->second);
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {

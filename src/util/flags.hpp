@@ -23,6 +23,9 @@ class Flags {
 
   std::string get_string(const std::string& name,
                          const std::string& def) const;
+  /// Numeric values must parse in full: "--hosts=12abc" and
+  /// "--threshold=0.5x" throw std::invalid_argument instead of silently
+  /// running with 12 or 0.5.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
   /// Bare "--name" and "--name=true/1/yes" are true; "--name=false/0/no" is

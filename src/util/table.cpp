@@ -13,13 +13,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_row_numeric(const std::vector<double>& cells, int precision) {
-  std::vector<std::string> row;
-  row.reserve(cells.size());
-  for (double v : cells) row.push_back(format_double(v, precision));
-  rows_.push_back(std::move(row));
-}
-
 void Table::print(std::ostream& os) const {
   // Column widths over header + all rows.
   std::vector<std::size_t> widths;
@@ -42,18 +35,6 @@ void Table::print(std::ostream& os) const {
   std::size_t total = 0;
   for (std::size_t w : widths) total += w + 2;
   os << std::string(total, '-') << '\n';
-  for (const auto& r : rows_) emit(r);
-}
-
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&os](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) os << ',';
-      os << row[i];
-    }
-    os << '\n';
-  };
-  emit(header_);
   for (const auto& r : rows_) emit(r);
 }
 

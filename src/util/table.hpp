@@ -1,6 +1,5 @@
-// Aligned-column table printing for the figure-regeneration benches. Every
-// bench prints the same rows/series the paper's figure plots, as plain text
-// (and optionally CSV) so runs can be diffed and re-plotted.
+// Aligned-column table printing for the example binaries' human-readable
+// reports. (The benches emit JSON records instead; see bench/bench_common.hpp.)
 #pragma once
 
 #include <iosfwd>
@@ -17,15 +16,8 @@ class Table {
 
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with the given precision.
-  void add_row_numeric(const std::vector<double>& cells, int precision = 4);
-
   /// Pretty text with a header underline.
   void print(std::ostream& os) const;
-
-  /// Comma-separated (no quoting — cells in this codebase never contain
-  /// commas).
-  void print_csv(std::ostream& os) const;
 
   std::size_t row_count() const { return rows_.size(); }
 
@@ -37,7 +29,7 @@ class Table {
 /// Formats a double with fixed precision, trimming to "-" for NaN.
 std::string format_double(double v, int precision = 4);
 
-/// Prints an "=== title ===" section banner used by the bench binaries.
+/// Prints an "=== title ===" section banner used by the example binaries.
 void print_section(std::ostream& os, const std::string& title);
 
 }  // namespace tiv

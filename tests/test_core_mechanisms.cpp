@@ -310,16 +310,6 @@ TEST(ClusterAnalysis, GridDiagonalBlocksDarker) {
   EXPECT_LT(diag_sum / diag_n, off_sum / off_n);
 }
 
-TEST(ClusterAnalysis, PrintGridProducesOneLinePerRow) {
-  std::vector<std::vector<double>> grid{{0.0, 1.0}, {0.5, 0.2}};
-  std::ostringstream os;
-  print_severity_grid(os, grid);
-  const std::string out = os.str();
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
-  // Max severity renders as the brightest ramp character.
-  EXPECT_NE(out.find('@'), std::string::npos);
-}
-
 // --- Proximity ---------------------------------------------------------------
 
 TEST(Proximity, NearestNeighborIsTrueMinimum) {

@@ -14,6 +14,7 @@
 //    locally built one;
 //  - every scalar oracle and kernel path computes the one witness_ratio
 //    triangulation term (float division widened to double).
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -96,6 +97,27 @@ TEST(SampleMeasuredPairs, TinyAndEmptyMatricesExhaustImmediately) {
   const PairSample s1 = sample_measured_pairs(one, 10, 1);
   EXPECT_EQ(s1.achieved(), 0u);
   EXPECT_TRUE(s1.exhausted);
+}
+
+TEST(SampleMeasuredPairs, UnboundedCountReturnsEveryMeasuredPair) {
+  // count = SIZE_MAX (what --edge-samples=-1 casts to) must neither size
+  // the reservations by the request nor spin on the saturated budget: the
+  // sampler stops once every measured pair has been returned, and the
+  // draws up to that point are the ones any smaller count sees.
+  for (const double missing : {0.0, 0.5}) {
+    const DelayMatrix m = random_matrix(12, missing, 19);
+    const PairSample all = sample_measured_pairs(
+        m, std::numeric_limits<std::size_t>::max(), 5);
+    EXPECT_TRUE(all.exhausted);
+    EXPECT_EQ(all.achieved(), m.measured_pair_count()) << missing;
+    const std::set<std::pair<HostId, HostId>> unique(all.pairs.begin(),
+                                                     all.pairs.end());
+    EXPECT_EQ(unique.size(), all.pairs.size());
+    const PairSample some = sample_measured_pairs(m, 20, 5);
+    ASSERT_EQ(some.achieved(), 20u);
+    EXPECT_TRUE(std::equal(some.pairs.begin(), some.pairs.end(),
+                           all.pairs.begin()));
+  }
 }
 
 TEST(SampleMeasuredPairs, MatchesSampledSeveritiesDrawSequence) {

@@ -1,6 +1,7 @@
 // MeridianOverlay ring construction, recursive queries, and the
 // misplacement analysis.
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -272,6 +273,27 @@ TEST(Misplacement, SeriesBinsAreFractions) {
   for (const auto& b : bins) {
     EXPECT_GE(b.median, 0.0);
     EXPECT_LE(b.median, 1.0);
+  }
+}
+
+TEST(Misplacement, UnboundedSampleCountCoversEveryMeasuredPair) {
+  // sample_pairs = SIZE_MAX (what --sample-pairs=-1 casts to) must not size
+  // allocations by the request or spin once every measured ordered pair is
+  // drawn: it evaluates exactly the pairs the full scan evaluates.
+  delayspace::DelaySpaceParams params;
+  params.topology.num_ases = 40;
+  params.topology.seed = 35;
+  params.hosts.num_hosts = 30;
+  params.hosts.seed = 36;
+  const auto ds = delayspace::generate_delay_space(params);
+  MisplacementParams all;
+  MisplacementParams unbounded;
+  unbounded.sample_pairs = std::numeric_limits<std::size_t>::max();
+  const auto full = misplacement_series(ds.measured, all);
+  const auto sampled = misplacement_series(ds.measured, unbounded);
+  ASSERT_EQ(full.size(), sampled.size());
+  for (std::size_t b = 0; b < full.size(); ++b) {
+    EXPECT_EQ(full[b].count, sampled[b].count) << "bin " << b;
   }
 }
 
