@@ -50,8 +50,7 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 500);
-  const auto samples =
-      static_cast<std::size_t>(flags.get_int("edge-samples", 15000));
+  const auto samples = flags.get_uint<std::size_t>("edge-samples", 15000);
   reject_unknown_flags(flags);
 
   auto params = delayspace::dataset_params(delayspace::DatasetId::kDs2,

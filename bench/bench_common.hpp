@@ -45,9 +45,8 @@ inline BenchConfig parse_config(const Flags& flags,
                                 std::uint32_t default_hosts) {
   BenchConfig c;
   const bool full = flags.get_bool("full", false);
-  c.hosts = static_cast<std::uint32_t>(
-      flags.get_int("hosts", full ? 0 : default_hosts));
-  c.seed = static_cast<std::uint64_t>(flags.get_int("seed", 0));
+  c.hosts = flags.get_uint<std::uint32_t>("hosts", full ? 0 : default_hosts);
+  c.seed = flags.get_uint<std::uint64_t>("seed", 0);
   return c;
 }
 

@@ -23,8 +23,7 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 600);
-  const auto sample_edges =
-      static_cast<std::size_t>(flags.get_int("edge-samples", 20000));
+  const auto sample_edges = flags.get_uint<std::size_t>("edge-samples", 20000);
   reject_unknown_flags(flags);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);

@@ -14,11 +14,16 @@
 //                             at a chosen commit ordinal; recover() replays
 //                             the journaled epoch from the manifest
 //
+// Each scenario runs kReps times, every repetition damaging fresh stores
+// and recovering them, alternated with a full rebuild of the same matrix.
 // Each record carries the acceptance properties CI asserts:
 //   bit_mismatches     severities read back after recovery vs the in-memory
-//                      all_severities of the same matrix — must be 0
-//   recovered_cheaper  recovery wall time strictly below the full
-//                      out-of-core rebuild of the same matrix
+//                      all_severities of the same matrix, summed over the
+//                      repetitions — must be 0
+//   recovered_cheaper  median recovery wall time strictly below the median
+//                      full out-of-core rebuild of the same matrix (one
+//                      pair of ~ms timings flips with machine load; the
+//                      medians of five do not)
 // plus the healed-tile / replayed-epoch counters that prove the recovery
 // path (not a silent full rebuild) produced the bytes. Exit status is
 // nonzero when a property fails, so a smoke run turns CI red on its own.
@@ -118,6 +123,17 @@ std::size_t bit_mismatches(ShardStreamEngine& engine,
   return bad;
 }
 
+/// Repetitions of each scenario's damage -> recover and of its full
+/// rebuild (alternated, so both see the same machine state); the medians
+/// are compared.
+constexpr int kReps = 5;
+
+/// Median of an odd number of per-repetition timings.
+double median_ms(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
 /// Full out-of-core rebuild of `m` — the recovery baseline: fresh input
 /// spill + full severity build to a fresh sink, all on disk.
 double full_rebuild_ms(const DelayMatrix& m, std::uint32_t tile_dim,
@@ -157,12 +173,10 @@ void localized_churn(DelayStream& stream, Rng& rng, HostId span, double t) {
 int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  const auto n =
-      static_cast<HostId>(flags.get_int("hosts", quick ? 128 : 384));
-  const auto tile_dim =
-      static_cast<std::uint32_t>(flags.get_int("tile", quick ? 16 : 32));
+  const auto n = flags.get_uint<HostId>("hosts", quick ? 128 : 384);
+  const auto tile_dim = flags.get_uint<std::uint32_t>("tile", quick ? 16 : 32);
   const double missing = flags.get_double("missing", 0.1);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 41));
+  const auto seed = flags.get_uint<std::uint64_t>("seed", 41);
   const std::string dir = flags.get_string(
       "dir", std::filesystem::temp_directory_path().string());
   tiv::reject_unknown_flags(flags);
@@ -189,68 +203,83 @@ int bench_main(int argc, char** argv) {
       const DelayMatrix matrix = random_matrix(n, missing, seed);
       const SeverityMatrix want = TivAnalyzer(matrix).all_severities();
 
-      ShardStreamConfig cfg;
-      cfg.tile_dim = tile_dim;
-      cfg.input_path = scratch_file(dir, "rot_in");
-      cfg.sink_path = scratch_file(dir, "rot_sev");
-      cfg.keep_files = true;
-      { ShardStreamEngine build(matrix, cfg); }  // clean shutdown, files kept
+      std::vector<double> recovery_samples;
+      std::vector<double> heal_samples;
+      std::vector<double> rebuild_samples;
+      std::size_t sink_rotted = 0;
+      std::size_t input_rotted = 0;
+      std::size_t mismatches = 0;
+      bool healed_all = true;
+      double clean_ms = 0.0;
+      ShardStreamEngine::RecoveryStats rec;
+      for (int rep = 0; rep < kReps; ++rep) {
+        ShardStreamConfig cfg;
+        cfg.tile_dim = tile_dim;
+        cfg.input_path = scratch_file(dir, "rot_in");
+        cfg.sink_path = scratch_file(dir, "rot_sev");
+        cfg.keep_files = true;
+        { ShardStreamEngine build(matrix, cfg); }  // clean shutdown, kept
 
-      // Pick the victim sink tiles (and rot the matching input tile under
-      // every other one — the nested-corruption path: healing the sink tile
-      // trips over the rotten input tile mid-rebuild).
-      std::vector<std::uint64_t> sink_offsets;
-      std::vector<std::uint64_t> input_offsets;
-      {  // offsets gathered first; stores closed before the rot
-        const auto sink = tiv::sink::SeverityTileStore::open(cfg.sink_path);
-        const auto input = tiv::shard::TileStore::open(cfg.input_path);
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> coords;
-        for (std::uint32_t r = 0; r < sink.tiles_per_side(); ++r) {
-          for (std::uint32_t c = r; c < sink.tiles_per_side(); ++c) {
-            coords.emplace_back(r, c);
+        // Pick the victim sink tiles (and rot the matching input tile
+        // under every other one — the nested-corruption path: healing the
+        // sink tile trips over the rotten input tile mid-rebuild).
+        std::vector<std::uint64_t> sink_offsets;
+        std::vector<std::uint64_t> input_offsets;
+        {  // offsets gathered first; stores closed before the rot
+          const auto sink = tiv::sink::SeverityTileStore::open(cfg.sink_path);
+          const auto input = tiv::shard::TileStore::open(cfg.input_path);
+          std::vector<std::pair<std::uint32_t, std::uint32_t>> coords;
+          for (std::uint32_t r = 0; r < sink.tiles_per_side(); ++r) {
+            for (std::uint32_t c = r; c < sink.tiles_per_side(); ++c) {
+              coords.emplace_back(r, c);
+            }
+          }
+          const auto k = static_cast<std::uint32_t>(std::max<std::size_t>(
+              1, static_cast<std::size_t>(
+                     frac * static_cast<double>(coords.size()))));
+          Rng rng(seed ^ 0xd15cull);
+          const auto picks = rng.sample_without_replacement(
+              static_cast<HostId>(coords.size()), k);
+          for (std::size_t i = 0; i < picks.size(); ++i) {
+            const auto [r, c] = coords[picks[i]];
+            sink_offsets.push_back(sink.tile_offset(r, c));
+            if (i % 2 == 1) input_offsets.push_back(input.tile_offset(r, c));
           }
         }
-        const auto k = static_cast<std::uint32_t>(std::max<std::size_t>(
-            1, static_cast<std::size_t>(frac *
-                                        static_cast<double>(coords.size()))));
-        Rng rng(seed ^ 0xd15cull);
-        const auto picks = rng.sample_without_replacement(
-            static_cast<HostId>(coords.size()), k);
-        for (std::size_t i = 0; i < picks.size(); ++i) {
-          const auto [r, c] = coords[picks[i]];
-          sink_offsets.push_back(sink.tile_offset(r, c));
-          if (i % 2 == 1) input_offsets.push_back(input.tile_offset(r, c));
+        for (const std::uint64_t off : sink_offsets) {
+          rot_byte_at(cfg.sink_path, off + 11);
         }
-      }
-      for (const std::uint64_t off : sink_offsets) {
-        rot_byte_at(cfg.sink_path, off + 11);
-      }
-      for (const std::uint64_t off : input_offsets) {
-        rot_byte_at(cfg.input_path, off + 23);
-      }
-      const std::size_t sink_rotted = sink_offsets.size();
-      const std::size_t input_rotted = input_offsets.size();
+        for (const std::uint64_t off : input_offsets) {
+          rot_byte_at(cfg.input_path, off + 23);
+        }
+        sink_rotted = sink_offsets.size();
+        input_rotted = input_offsets.size();
 
-      // Recovery: reopen + one full readback. Every rotted tile fails its
-      // checksum on first touch and is rebuilt in place.
-      cfg.keep_files = false;  // recovery engine owns cleanup
-      const std::uint64_t heal_ns0 = tracer.total_ns("recovery-action");
-      const auto t0 = std::chrono::steady_clock::now();
-      auto engine = ShardStreamEngine::recover(matrix, cfg);
-      const std::size_t mismatches = bit_mismatches(engine, want);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double heal_ms =
-          static_cast<double>(tracer.total_ns("recovery-action") - heal_ns0) /
-          1e6;
-      const double recovery_ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      // Second full readback over the now-healed store: the no-fault floor.
-      const double clean_ms = time_ms([&] { bit_mismatches(engine, want); });
+        // Recovery: reopen + one full readback. Every rotted tile fails
+        // its checksum on first touch and is rebuilt in place.
+        cfg.keep_files = false;  // recovery engine owns cleanup
+        const std::uint64_t heal_ns0 = tracer.total_ns("recovery-action");
+        const auto t0 = std::chrono::steady_clock::now();
+        auto engine = ShardStreamEngine::recover(matrix, cfg);
+        mismatches += bit_mismatches(engine, want);
+        const auto t1 = std::chrono::steady_clock::now();
+        heal_samples.push_back(
+            static_cast<double>(tracer.total_ns("recovery-action") -
+                                heal_ns0) /
+            1e6);
+        recovery_samples.push_back(
+            std::chrono::duration<double, std::milli>(t1 - t0).count());
+        // Second full readback over the now-healed store: the no-fault
+        // floor.
+        clean_ms = time_ms([&] { bit_mismatches(engine, want); });
+        rec = engine.recovery_stats();
+        healed_all = healed_all && rec.sink_tiles_recovered >= sink_rotted &&
+                     rec.input_tiles_recovered >= input_rotted;
 
-      const double rebuild_ms = full_rebuild_ms(matrix, tile_dim, dir);
-      const auto rec = engine.recovery_stats();
-      const bool healed_all = rec.sink_tiles_recovered >= sink_rotted &&
-                              rec.input_tiles_recovered >= input_rotted;
+        rebuild_samples.push_back(full_rebuild_ms(matrix, tile_dim, dir));
+      }
+      const double recovery_ms = median_ms(recovery_samples);
+      const double rebuild_ms = median_ms(rebuild_samples);
       const bool cheaper = recovery_ms < rebuild_ms;
       ok = ok && mismatches == 0 && healed_all && cheaper;
 
@@ -259,12 +288,13 @@ int bench_main(int argc, char** argv) {
           .field("n", n)
           .field("tile_dim", tile_dim)
           .field("corrupt_fraction", frac, 4)
+          .field("reps", kReps)
           .field("sink_tiles_corrupted", sink_rotted)
           .field("input_tiles_corrupted", input_rotted)
           .field("sink_tiles_recovered", rec.sink_tiles_recovered)
           .field("input_tiles_recovered", rec.input_tiles_recovered)
           .field("recovery_ms", recovery_ms, 3)
-          .field("recovery_action_ms", heal_ms, 3)
+          .field("recovery_action_ms", median_ms(heal_samples), 3)
           .field("clean_readback_ms", clean_ms, 3)
           .field("full_rebuild_ms", rebuild_ms, 3)
           .field("speedup_vs_rebuild",
@@ -285,71 +315,86 @@ int bench_main(int argc, char** argv) {
         {"sink_commit_3", false, 3},
     };
     for (const KillPoint& kp : kill_points) {
-      DelayStream stream(random_matrix(n, missing, seed ^ 0x1a11ull));
+      std::vector<double> recover_samples;
+      std::vector<double> heal_samples;
+      std::vector<double> rebuild_samples;
+      bool crashed = true;
+      std::size_t mismatches = 0;
+      bool replayed_once = true;
+      ShardStreamEngine::RecoveryStats rec;
+      for (int rep = 0; rep < kReps; ++rep) {
+        DelayStream stream(random_matrix(n, missing, seed ^ 0x1a11ull));
 
-      ShardStreamConfig cfg;
-      cfg.tile_dim = tile_dim;
-      cfg.input_path = scratch_file(dir, std::string("kill_in_") + kp.name);
-      cfg.sink_path = scratch_file(dir, std::string("kill_sev_") + kp.name);
-      cfg.keep_files = true;
+        ShardStreamConfig cfg;
+        cfg.tile_dim = tile_dim;
+        cfg.input_path = scratch_file(dir, std::string("kill_in_") + kp.name);
+        cfg.sink_path = scratch_file(dir, std::string("kill_sev_") + kp.name);
+        cfg.keep_files = true;
 
-      FaultInjector::Config fault;
-      fault.torn_write_at_commit = kp.ordinal;
-      FaultInjector injector(fault);
+        FaultInjector::Config fault;
+        fault.torn_write_at_commit = kp.ordinal;
+        FaultInjector injector(fault);
 
-      bool crashed = false;
-      Rng rng(seed ^ 0x6b11ull);
-      {
-        ShardStreamEngine engine(stream.matrix(), cfg);
-        if (kp.on_input) {
-          engine.set_input_fault_injector(&injector);
-        } else {
-          engine.set_sink_fault_injector(&injector);
-        }
-        localized_churn(stream, rng, static_cast<HostId>(2 * tile_dim), 1.0);
-        const tiv::stream::Epoch epoch = stream.commit_epoch();
-        try {
-          engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
-        } catch (const InjectedCrash&) {
-          crashed = true;
-        }
-        if (kp.on_input) {
-          engine.set_input_fault_injector(nullptr);
-        } else {
-          engine.set_sink_fault_injector(nullptr);
-        }
-      }  // "killed" engine abandoned; files + epoch manifest survive
+        bool rep_crashed = false;
+        Rng rng(seed ^ 0x6b11ull);
+        {
+          ShardStreamEngine engine(stream.matrix(), cfg);
+          if (kp.on_input) {
+            engine.set_input_fault_injector(&injector);
+          } else {
+            engine.set_sink_fault_injector(&injector);
+          }
+          localized_churn(stream, rng, static_cast<HostId>(2 * tile_dim),
+                          1.0);
+          const tiv::stream::Epoch epoch = stream.commit_epoch();
+          try {
+            engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+          } catch (const InjectedCrash&) {
+            rep_crashed = true;
+          }
+          if (kp.on_input) {
+            engine.set_input_fault_injector(nullptr);
+          } else {
+            engine.set_sink_fault_injector(nullptr);
+          }
+        }  // "killed" engine abandoned; files + epoch manifest survive
+        crashed = crashed && rep_crashed;
 
-      const SeverityMatrix want =
-          TivAnalyzer(stream.matrix()).all_severities();
-      cfg.keep_files = false;
-      const std::uint64_t heal_ns0 = tracer.total_ns("recovery-action");
-      const auto t0 = std::chrono::steady_clock::now();
-      auto engine = ShardStreamEngine::recover(stream.matrix(), cfg);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double recover_ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      const double heal_ms =
-          static_cast<double>(tracer.total_ns("recovery-action") - heal_ns0) /
-          1e6;
-      const std::size_t mismatches = bit_mismatches(engine, want);
+        const SeverityMatrix want =
+            TivAnalyzer(stream.matrix()).all_severities();
+        cfg.keep_files = false;
+        const std::uint64_t heal_ns0 = tracer.total_ns("recovery-action");
+        const auto t0 = std::chrono::steady_clock::now();
+        auto engine = ShardStreamEngine::recover(stream.matrix(), cfg);
+        const auto t1 = std::chrono::steady_clock::now();
+        recover_samples.push_back(
+            std::chrono::duration<double, std::milli>(t1 - t0).count());
+        heal_samples.push_back(
+            static_cast<double>(tracer.total_ns("recovery-action") -
+                                heal_ns0) /
+            1e6);
+        mismatches += bit_mismatches(engine, want);
+        rec = engine.recovery_stats();
+        replayed_once = replayed_once && rec.torn_epochs_replayed == 1;
 
-      const double rebuild_ms =
-          full_rebuild_ms(stream.matrix(), tile_dim, dir);
-      const auto rec = engine.recovery_stats();
+        rebuild_samples.push_back(
+            full_rebuild_ms(stream.matrix(), tile_dim, dir));
+      }
+      const double recover_ms = median_ms(recover_samples);
+      const double rebuild_ms = median_ms(rebuild_samples);
       const bool cheaper = recover_ms < rebuild_ms;
-      ok = ok && crashed && rec.torn_epochs_replayed == 1 &&
-           mismatches == 0 && cheaper;
+      ok = ok && crashed && replayed_once && mismatches == 0 && cheaper;
 
       json.object()
           .field("section", std::string("kill_mid_commit"))
           .field("n", n)
           .field("tile_dim", tile_dim)
           .field("kill_point", std::string(kp.name))
+          .field("reps", kReps)
           .field_bool("crash_injected", crashed)
           .field("torn_epochs_replayed", rec.torn_epochs_replayed)
           .field("recover_ms", recover_ms, 3)
-          .field("recovery_action_ms", heal_ms, 3)
+          .field("recovery_action_ms", median_ms(heal_samples), 3)
           .field("full_rebuild_ms", rebuild_ms, 3)
           .field("speedup_vs_rebuild",
                  recover_ms > 0.0 ? rebuild_ms / recover_ms : 0.0, 2)

@@ -25,8 +25,7 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 500);
-  const auto grid_size =
-      static_cast<std::size_t>(flags.get_int("grid", 48));
+  const auto grid_size = flags.get_uint<std::size_t>("grid", 48);
   reject_unknown_flags(flags);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);

@@ -17,8 +17,7 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 500);
-  const auto samples =
-      static_cast<std::size_t>(flags.get_int("edge-samples", 20000));
+  const auto samples = flags.get_uint<std::size_t>("edge-samples", 20000);
   const double bin_ms = flags.get_double("bin-ms", 10.0);
   reject_unknown_flags(flags);
 

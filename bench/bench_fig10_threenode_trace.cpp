@@ -17,8 +17,7 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 0);
-  const auto seconds =
-      static_cast<std::uint32_t>(flags.get_int("seconds", 100));
+  const auto seconds = flags.get_uint<std::uint32_t>("seconds", 100);
   reject_unknown_flags(flags);
 
   delayspace::DelayMatrix m(3);

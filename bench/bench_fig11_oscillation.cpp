@@ -19,10 +19,9 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 800);
-  const auto warmup = static_cast<std::uint32_t>(flags.get_int("warmup", 100));
-  const auto window = static_cast<std::uint32_t>(flags.get_int("window", 500));
-  const auto tracked =
-      static_cast<std::size_t>(flags.get_int("tracked-edges", 100000));
+  const auto warmup = flags.get_uint<std::uint32_t>("warmup", 100);
+  const auto window = flags.get_uint<std::uint32_t>("window", 500);
+  const auto tracked = flags.get_uint<std::size_t>("tracked-edges", 100000);
   reject_unknown_flags(flags);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);

@@ -15,8 +15,7 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 600);
-  const auto sample_pairs =
-      static_cast<std::size_t>(flags.get_int("sample-pairs", 60000));
+  const auto sample_pairs = flags.get_uint<std::size_t>("sample-pairs", 60000);
   reject_unknown_flags(flags);
 
   BenchReport json(std::cout, "bench_fig13_misplacement");

@@ -20,9 +20,8 @@ int bench_main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 800);
   // Paper: 200 Meridian nodes out of 4000 -> 5%.
-  const auto overlay_nodes = static_cast<std::uint32_t>(
-      flags.get_int("meridian-nodes", 0));
-  const auto runs = static_cast<std::uint32_t>(flags.get_int("runs", 3));
+  const auto overlay_nodes = flags.get_uint<std::uint32_t>("meridian-nodes", 0);
+  const auto runs = flags.get_uint<std::uint32_t>("runs", 3);
   reject_unknown_flags(flags);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);

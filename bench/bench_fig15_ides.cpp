@@ -17,9 +17,8 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 800);
-  const auto candidates = static_cast<std::uint32_t>(
-      flags.get_int("candidates", 0));
-  const auto runs = static_cast<std::uint32_t>(flags.get_int("runs", 5));
+  const auto candidates = flags.get_uint<std::uint32_t>("candidates", 0);
+  const auto runs = flags.get_uint<std::uint32_t>("runs", 5);
   reject_unknown_flags(flags);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);

@@ -18,7 +18,7 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 800);
-  const auto runs = static_cast<std::uint32_t>(flags.get_int("runs", 5));
+  const auto runs = flags.get_uint<std::uint32_t>("runs", 5);
   reject_unknown_flags(flags);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);

@@ -20,7 +20,7 @@ int bench_main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 700);
   const double worst = flags.get_double("worst-fraction", 0.2);
-  const auto runs = static_cast<std::uint32_t>(flags.get_int("runs", 3));
+  const auto runs = flags.get_uint<std::uint32_t>("runs", 3);
   reject_unknown_flags(flags);
 
   const auto space = make_space(delayspace::DatasetId::kDs2, cfg);

@@ -19,9 +19,8 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 700);
-  const auto samples =
-      static_cast<std::size_t>(flags.get_int("edge-samples", 30000));
-  const auto warmup = static_cast<std::uint32_t>(flags.get_int("warmup", 300));
+  const auto samples = flags.get_uint<std::size_t>("edge-samples", 30000);
+  const auto warmup = flags.get_uint<std::uint32_t>("warmup", 300);
   reject_unknown_flags(flags);
 
   BenchReport json(std::cout, "bench_fig20_21_alert_accuracy");

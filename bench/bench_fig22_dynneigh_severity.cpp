@@ -18,8 +18,7 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 600);
-  const auto period =
-      static_cast<std::uint32_t>(flags.get_int("period", 100));
+  const auto period = flags.get_uint<std::uint32_t>("period", 100);
   reject_unknown_flags(flags);
 
   BenchReport json(std::cout, "bench_fig22_dynneigh_severity");

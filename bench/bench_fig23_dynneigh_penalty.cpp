@@ -17,9 +17,8 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 600);
-  const auto period =
-      static_cast<std::uint32_t>(flags.get_int("period", 100));
-  const auto runs = static_cast<std::uint32_t>(flags.get_int("runs", 5));
+  const auto period = flags.get_uint<std::uint32_t>("period", 100);
+  const auto runs = flags.get_uint<std::uint32_t>("runs", 5);
   reject_unknown_flags(flags);
 
   BenchReport json(std::cout, "bench_fig23_dynneigh_penalty");

@@ -55,7 +55,7 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 700);
-  const auto runs = static_cast<std::uint32_t>(flags.get_int("runs", 3));
+  const auto runs = flags.get_uint<std::uint32_t>("runs", 3);
   reject_unknown_flags(flags);
 
   BenchReport json(std::cout, "bench_fig24_meridian_alert");

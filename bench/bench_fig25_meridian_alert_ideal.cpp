@@ -55,9 +55,8 @@ int bench_main(int argc, char** argv) {
   using namespace tiv::bench;
   const Flags flags(argc, argv);
   const BenchConfig cfg = parse_config(flags, 800);
-  const auto overlay = static_cast<std::uint32_t>(
-      flags.get_int("meridian-nodes", 0));
-  const auto runs = static_cast<std::uint32_t>(flags.get_int("runs", 3));
+  const auto overlay = flags.get_uint<std::uint32_t>("meridian-nodes", 0);
+  const auto runs = flags.get_uint<std::uint32_t>("runs", 3);
   reject_unknown_flags(flags);
 
   BenchReport json(std::cout, "bench_fig25_meridian_alert_ideal");

@@ -65,8 +65,8 @@ std::uint64_t scratch_allocs_now() {
 int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  const auto only_threads = flags.get_int("threads", 0);
+  const auto seed = flags.get_uint<std::uint64_t>("seed", 7);
+  const auto only_threads = flags.get_uint<std::size_t>("threads", 0);
   const std::string profile_out = flags.get_string("profile-out", "");
   const double profile_hz = flags.get_double("profile-hz", 97.0);
   tiv::reject_unknown_flags(flags);
@@ -76,7 +76,7 @@ int bench_main(int argc, char** argv) {
             : std::vector<std::uint32_t>{256, 512, 1024};
   std::vector<std::size_t> thread_counts;
   if (only_threads > 0) {
-    thread_counts.push_back(static_cast<std::size_t>(only_threads));
+    thread_counts.push_back(only_threads);
   } else {
     thread_counts = {1, 2, 4};
     const std::size_t hw = std::thread::hardware_concurrency();

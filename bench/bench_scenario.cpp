@@ -156,14 +156,12 @@ void emit_scenario_record(tiv::bench::BenchReport& json,
 int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  const auto n = static_cast<tiv::delayspace::HostId>(
-      flags.get_int("hosts", quick ? 96 : 160));
-  const auto epochs =
-      static_cast<std::uint32_t>(flags.get_int("epochs", quick ? 12 : 16));
-  const auto tile_dim =
-      static_cast<std::uint32_t>(flags.get_int("tile", 32));
+  const auto n =
+      flags.get_uint<tiv::delayspace::HostId>("hosts", quick ? 96 : 160);
+  const auto epochs = flags.get_uint<std::uint32_t>("epochs", quick ? 12 : 16);
+  const auto tile_dim = flags.get_uint<std::uint32_t>("tile", 32);
   const double threshold = flags.get_double("threshold", 0.1);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  const auto seed = flags.get_uint<std::uint64_t>("seed", 7);
   const std::string dir = flags.get_string(
       "dir", std::filesystem::temp_directory_path().string());
   const std::string trace_dir = flags.get_string("trace-dir", "");

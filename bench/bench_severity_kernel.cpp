@@ -84,9 +84,9 @@ double max_rel_err(const SeverityMatrix& got, const SeverityMatrix& want) {
 int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  const auto seed = flags.get_uint<std::uint64_t>("seed", 7);
   const double missing = flags.get_double("missing", 0.1);
-  const auto only_threads = flags.get_int("threads", 0);
+  const auto only_threads = flags.get_uint<std::size_t>("threads", 0);
   tiv::reject_unknown_flags(flags);
 
   std::vector<HostId> sizes =
@@ -94,7 +94,7 @@ int bench_main(int argc, char** argv) {
             : std::vector<HostId>{256, 512, 1024, 2048};
   std::vector<std::size_t> thread_counts;
   if (only_threads > 0) {
-    thread_counts.push_back(static_cast<std::size_t>(only_threads));
+    thread_counts.push_back(only_threads);
   } else {
     thread_counts = {1, 2, 4};
     const std::size_t hw = std::thread::hardware_concurrency();

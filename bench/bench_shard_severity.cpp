@@ -135,18 +135,16 @@ bool run_phase(tiv::bench::JsonArrayWriter& json, const PhaseParams& phase,
 int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  const auto seed = flags.get_uint<std::uint64_t>("seed", 7);
   const double missing = flags.get_double("missing", 0.1);
-  const auto tile_dim =
-      static_cast<std::uint32_t>(flags.get_int("tile", 64));
+  const auto tile_dim = flags.get_uint<std::uint32_t>("tile", 64);
   const std::size_t budget_flag_bytes =
-      static_cast<std::size_t>(flags.get_int("budget-kb", 512)) * 1024;
-  const auto n_big = static_cast<HostId>(
-      flags.get_int("n", quick ? 640 : 1024));
-  const auto threads = flags.get_int("threads", 0);
+      flags.get_uint<std::size_t>("budget-kb", 512) * 1024;
+  const auto n_big = flags.get_uint<HostId>("n", quick ? 640 : 1024);
+  const auto threads = flags.get_uint<std::size_t>("threads", 0);
   tiv::reject_unknown_flags(flags);
   if (threads > 0) {
-    tiv::set_parallel_thread_count(static_cast<std::size_t>(threads));
+    tiv::set_parallel_thread_count(threads);
   }
 
   // Floor the budget at the pinned working set: each pool worker pins up

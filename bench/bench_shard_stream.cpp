@@ -126,19 +126,17 @@ std::string scratch_file(const std::string& dir, const std::string& tag) {
 int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  const auto n =
-      static_cast<HostId>(flags.get_int("hosts", quick ? 128 : 512));
-  const auto tile_dim =
-      static_cast<std::uint32_t>(flags.get_int("tile", quick ? 16 : 64));
+  const auto n = flags.get_uint<HostId>("hosts", quick ? 128 : 512);
+  const auto tile_dim = flags.get_uint<std::uint32_t>("tile", quick ? 16 : 64);
   const double missing = flags.get_double("missing", 0.1);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 29));
-  const int epochs = static_cast<int>(flags.get_int("epochs", quick ? 2 : 4));
+  const auto seed = flags.get_uint<std::uint64_t>("seed", 29);
+  const auto epochs = flags.get_uint<std::uint32_t>("epochs", quick ? 2 : 4);
   const std::string dir = flags.get_string(
       "dir", std::filesystem::temp_directory_path().string());
   const std::size_t input_budget_flag =
-      static_cast<std::size_t>(flags.get_int("input-budget-kb", 512)) * 1024;
+      flags.get_uint<std::size_t>("input-budget-kb", 512) * 1024;
   const std::size_t output_budget_flag =
-      static_cast<std::size_t>(flags.get_int("output-budget-kb", 256)) * 1024;
+      flags.get_uint<std::size_t>("output-budget-kb", 256) * 1024;
   const std::string profile_out = flags.get_string("profile-out", "");
   const double profile_hz = flags.get_double("profile-hz", 97.0);
   tiv::reject_unknown_flags(flags);
@@ -209,7 +207,7 @@ int bench_main(int argc, char** argv) {
       const std::uint64_t repack_ns0 = tracer.total_ns("tile-repack");
       const std::uint64_t band_ns0 = tracer.total_ns("band-pair-stream");
       const std::uint64_t commit_ns0 = tracer.total_ns("sink-commit");
-      for (int e = 0; e < epochs; ++e) {
+      for (std::uint32_t e = 0; e < epochs; ++e) {
         replay_churn_epoch(stream, rng, dirty_target, double(e));
         const auto stats = engine->apply_epoch(stream);
         tiles_repacked += stats.input_tiles_repacked;

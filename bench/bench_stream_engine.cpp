@@ -98,11 +98,10 @@ std::size_t replay_churn_epoch(DelayStream& stream, Rng& rng,
 int bench_main(int argc, char** argv) {
   const tiv::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  const auto n =
-      static_cast<HostId>(flags.get_int("hosts", quick ? 96 : 512));
+  const auto n = flags.get_uint<HostId>("hosts", quick ? 96 : 512);
   const double missing = flags.get_double("missing", 0.1);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 17));
-  const int epochs = static_cast<int>(flags.get_int("epochs", quick ? 2 : 4));
+  const auto seed = flags.get_uint<std::uint64_t>("seed", 17);
+  const auto epochs = flags.get_uint<std::uint32_t>("epochs", quick ? 2 : 4);
   const std::string policy_name = flags.get_string("policy", "ewma");
   tiv::reject_unknown_flags(flags);
 
@@ -136,7 +135,7 @@ int bench_main(int argc, char** argv) {
     std::size_t rows_repacked = 0;
     double ingest_ms = 0.0;
     double apply_ms = 0.0;
-    for (int e = 0; e < epochs; ++e) {
+    for (std::uint32_t e = 0; e < epochs; ++e) {
       ingest_ms += time_ms([&] {
         samples_total +=
             replay_churn_epoch(stream, rng, dirty_target, double(e));
@@ -206,10 +205,10 @@ int bench_main(int argc, char** argv) {
     }
 
     IncrementalSeverity inc(stream.matrix());
-    const int osc_epochs = 8 * epochs;
+    const std::uint32_t osc_epochs = 8 * epochs;
     std::size_t samples_total = 0;
     double apply_ms = 0.0;
-    for (int e = 0; e < osc_epochs; ++e) {
+    for (std::uint32_t e = 0; e < osc_epochs; ++e) {
       const bool high = (e % 2) != 0;
       std::vector<DelaySample> batch;
       batch.reserve(osc.size());

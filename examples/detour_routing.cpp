@@ -15,10 +15,10 @@
 int example_main(int argc, char** argv) {
   using namespace tiv;
   const Flags flags(argc, argv);
-  const auto hosts = static_cast<std::uint32_t>(flags.get_int("hosts", 500));
-  const auto relays = static_cast<std::uint32_t>(flags.get_int("relays", 8));
+  const auto hosts = flags.get_uint<std::uint32_t>("hosts", 500);
+  const auto relays = flags.get_uint<std::uint32_t>("relays", 8);
   const double threshold = flags.get_double("threshold", 0.6);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const auto seed = flags.get_uint<std::uint64_t>("seed", 1);
   reject_unknown_flags(flags);
 
   auto params = delayspace::dataset_params(delayspace::DatasetId::kDs2, hosts);

@@ -109,11 +109,10 @@ int monitor_main(int argc, char** argv) {
   using namespace tiv;
   using delayspace::HostId;
   const Flags flags(argc, argv);
-  const auto hosts = static_cast<std::uint32_t>(flags.get_int("hosts", 200));
-  auto rounds = static_cast<int>(flags.get_int("rounds", 6));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto inject_k =
-      static_cast<std::uint32_t>(flags.get_int("inject-bitflips", 0));
+  const auto hosts = flags.get_uint<std::uint32_t>("hosts", 200);
+  auto rounds = flags.get_uint<std::uint32_t>("rounds", 6);
+  const auto seed = flags.get_uint<std::uint64_t>("seed", 1);
+  const auto inject_k = flags.get_uint<std::uint32_t>("inject-bitflips", 0);
   const std::string scenario_arg = flags.get_string("scenario", "");
   const std::string record_path = flags.get_string("trace-record", "");
   const std::string metrics_path = flags.get_string("metrics-out", "");
@@ -160,7 +159,7 @@ int monitor_main(int argc, char** argv) {
   if (!scenario_arg.empty()) {
     if (scenario::is_scenario_family(scenario_arg)) {
       scenario::ScenarioParams sp;
-      sp.epochs = static_cast<std::uint32_t>(std::max(rounds, 1));
+      sp.epochs = std::max<std::uint32_t>(rounds, 1);
       sp.seed = seed;
       scenario_trace =
           scenario::generate_scenario(scenario_arg, space.measured, sp);
@@ -178,7 +177,7 @@ int monitor_main(int argc, char** argv) {
         return 1;
       }
     }
-    rounds = static_cast<int>(scenario_trace->epochs.size());
+    rounds = static_cast<std::uint32_t>(scenario_trace->epochs.size());
     std::cout << "Scenario '" << scenario_trace->family << "' (seed "
               << scenario_trace->seed << "): " << rounds << " epoch(s), "
               << scenario_trace->total_samples() << " measurement(s)\n";
@@ -251,7 +250,7 @@ int monitor_main(int argc, char** argv) {
   auto last_rec = monitor.recovery_stats();
   auto last_phases = sample_phases(tracer);
   auto last_snap = obs::MetricsRegistry::instance().snapshot();
-  for (int round = 1; round <= rounds; ++round) {
+  for (std::uint32_t round = 1; round <= rounds; ++round) {
     // One round of measurements: the scenario trace's epoch when replaying,
     // otherwise ~2% of hosts' edges re-measured with noise around the true
     // delay and a 5% outage / recovery mix (measured<->missing churn).

@@ -19,8 +19,8 @@
 int example_main(int argc, char** argv) {
   using namespace tiv;
   const Flags flags(argc, argv);
-  const auto hosts = static_cast<std::uint32_t>(flags.get_int("hosts", 400));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const auto hosts = flags.get_uint<std::uint32_t>("hosts", 400);
+  const auto seed = flags.get_uint<std::uint64_t>("seed", 1);
   reject_unknown_flags(flags);
 
   // 1. Generate a DS^2-like delay space: AS topology + valley-free policy

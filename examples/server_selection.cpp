@@ -24,9 +24,9 @@ int example_main(int argc, char** argv) {
   using namespace tiv;
   using delayspace::HostId;
   const Flags flags(argc, argv);
-  const auto hosts = static_cast<std::uint32_t>(flags.get_int("hosts", 600));
-  const auto servers = static_cast<std::uint32_t>(flags.get_int("servers", 30));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const auto hosts = flags.get_uint<std::uint32_t>("hosts", 600);
+  const auto servers = flags.get_uint<std::uint32_t>("servers", 30);
+  const auto seed = flags.get_uint<std::uint64_t>("seed", 1);
   reject_unknown_flags(flags);
 
   auto params = delayspace::dataset_params(delayspace::DatasetId::kDs2, hosts);

@@ -35,8 +35,8 @@ int example_main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const std::string matrix_path = flags.get_string("matrix", "");
   const std::string dataset = flags.get_string("dataset", "ds2");
-  const auto hosts = static_cast<std::uint32_t>(flags.get_int("hosts", 500));
-  const auto worst = static_cast<std::size_t>(flags.get_int("worst", 10));
+  const auto hosts = flags.get_uint<std::uint32_t>("hosts", 500);
+  const auto worst = flags.get_uint<std::size_t>("worst", 10);
   reject_unknown_flags(flags);
 
   delayspace::DelayMatrix matrix;

@@ -120,7 +120,7 @@ ReplayDriver::Result ReplayDriver::run(const EpochCallback& on_epoch) {
     }
     const SeverityMatrix& monitor_sev = engine ? engine_readback
                                                : inc->severities();
-    if (config_.verify_bit_identity) {
+    {  // every epoch: the from-scratch recompute must match bit for bit
       obs::Span verify_span("scenario-verify");
       const SeverityMatrix direct =
           core::TivAnalyzer(live.matrix()).all_severities();

@@ -49,11 +49,6 @@ struct ReplayConfig {
 
   /// Tile/budget/path configuration for Engine::kShard.
   stream::ShardStreamConfig shard;
-
-  /// Recompute severities from scratch each epoch and bit-compare against
-  /// the incremental path. Costs an O(n^3) kernel per epoch; disable only
-  /// for throughput-oriented replays.
-  bool verify_bit_identity = true;
 };
 
 class ReplayDriver {

@@ -1,6 +1,7 @@
 #include "shard/tile_file.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cassert>
@@ -18,18 +19,23 @@ using delayspace::DelayMatrixView;
 
 constexpr std::size_t kAlign = 64;
 
-// Fixed-width, padding-free on-disk header (40 bytes) — the PR 5 layout,
-// shared verbatim by both stores (they differ only in magic/version).
+// Fixed-width, padding-free on-disk header (20 bytes), shared verbatim by
+// both stores (they differ only in magic/version). It holds only what the
+// reader cannot compute: the tile count, tile size and every offset follow
+// from (n, tile_dim) and the store's TileFileParams.
 struct RawHeader {
   char magic[8];
   std::uint32_t version;
   std::uint32_t n;
   std::uint32_t tile_dim;
-  std::uint32_t tiles;
-  std::uint64_t tile_bytes;
-  std::uint64_t data_offset;
 };
-static_assert(sizeof(RawHeader) == 40);
+static_assert(sizeof(RawHeader) == 20);
+
+// The checksum table starts on an 8-byte boundary so no slot straddles a
+// sector: a slot rewrite is one aligned 8-byte write.
+constexpr std::size_t kChecksumTableOffset =
+    (sizeof(RawHeader) + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t) *
+    sizeof(std::uint64_t);
 
 [[noreturn]] void fail_for(const char* store_name, const std::string& what,
                            const std::string& path) {
@@ -44,14 +50,14 @@ void fwrite_all(const void* data, std::size_t bytes, std::FILE* f,
   }
 }
 
-std::size_t checksum_table_offset(std::size_t tile_count) {
-  return sizeof(RawHeader) + tile_count * sizeof(std::uint64_t);
+std::uint32_t tiles_for(std::uint64_t n, std::uint32_t tile_dim) {
+  return static_cast<std::uint32_t>((n + tile_dim - 1) / tile_dim);
 }
 
 std::uint64_t data_offset_for(std::size_t tile_count) {
-  const std::size_t tables_end =
-      checksum_table_offset(tile_count) + tile_count * sizeof(std::uint64_t);
-  return (tables_end + kAlign - 1) / kAlign * kAlign;
+  const std::size_t table_end =
+      kChecksumTableOffset + tile_count * sizeof(std::uint64_t);
+  return (table_end + kAlign - 1) / kAlign * kAlign;
 }
 
 }  // namespace
@@ -68,7 +74,7 @@ TileFile::Writer::Writer(const TileFileParams& params,
         ": tile_dim must be a nonzero multiple of " +
         std::to_string(DelayMatrixView::kLaneFloats));
   }
-  tiles_ = (n + tile_dim - 1) / tile_dim;
+  tiles_ = tiles_for(n, tile_dim);
   tile_bytes_ = params.tile_bytes(tile_dim);
   const std::size_t count = tile_count_for(params.shape, tiles_);
   checksums_.assign(count, 0);
@@ -84,27 +90,13 @@ TileFile::Writer::Writer(const TileFileParams& params,
   h.version = params.version;
   h.n = n;
   h.tile_dim = tile_dim;
-  h.tiles = tiles_;
-  h.tile_bytes = tile_bytes_;
-  h.data_offset = data_offset_;
   fwrite_all(&h, sizeof(h), f_, params.store_name, path_);
-
-  std::vector<std::uint64_t> offsets(count);
-  for (std::size_t t = 0; t < count; ++t) {
-    offsets[t] = data_offset_ + t * tile_bytes_;
-  }
-  const std::size_t index_bytes = count * sizeof(std::uint64_t);
-  if (count != 0) {
-    fwrite_all(offsets.data(), index_bytes, f_, params.store_name, path_);
-    // Checksum-table placeholder: per-tile hashes accumulate as tiles are
-    // appended and are committed with one seek-back by finish().
-    fwrite_all(checksums_.data(), index_bytes, f_, params.store_name, path_);
-  }
-  const std::vector<char> pad(
-      data_offset_ - sizeof(RawHeader) - 2 * index_bytes, 0);
-  if (!pad.empty()) {
-    fwrite_all(pad.data(), pad.size(), f_, params.store_name, path_);
-  }
+  // Zeros up to the first tile: the header's alignment pad, the
+  // checksum-table placeholder (per-tile hashes accumulate as tiles are
+  // appended and are committed with one seek-back by finish()), and the
+  // pad that aligns tile 0.
+  const std::vector<char> zeros(data_offset_ - sizeof(RawHeader), 0);
+  fwrite_all(zeros.data(), zeros.size(), f_, params.store_name, path_);
 }
 
 TileFile::Writer::~Writer() {
@@ -127,9 +119,8 @@ void TileFile::Writer::append_tile(
 
 void TileFile::Writer::commit_checksums_and_close() {
   if (!checksums_.empty()) {
-    if (std::fseek(f_,
-                   static_cast<long>(checksum_table_offset(checksums_.size())),
-                   SEEK_SET) != 0) {
+    if (std::fseek(f_, static_cast<long>(kChecksumTableOffset), SEEK_SET) !=
+        0) {
       fail_for(params_.store_name, "seek to checksum table failed", path_);
     }
     fwrite_all(checksums_.data(),
@@ -201,8 +192,7 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
     f.fail("bad magic");
   }
   if (h.version != params.version) f.fail("unsupported version");
-  if (h.tile_dim == 0 || h.tile_dim % DelayMatrixView::kLaneFloats != 0 ||
-      h.tiles != (h.n + h.tile_dim - 1) / h.tile_dim) {
+  if (h.tile_dim == 0 || h.tile_dim % DelayMatrixView::kLaneFloats != 0) {
     f.fail("inconsistent header");
   }
   if (expected_n != 0 &&
@@ -215,24 +205,24 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
   }
   f.n_ = h.n;
   f.tile_dim_ = h.tile_dim;
-  f.tiles_ = h.tiles;
+  f.tiles_ = tiles_for(h.n, h.tile_dim);
   f.tile_bytes_ = params.tile_bytes(h.tile_dim);
-  if (h.tile_bytes != f.tile_bytes_) f.fail("tile size mismatch");
 
   const std::size_t count = tile_count_for(params.shape, f.tiles_);
-  f.tile_offsets_.resize(count);
+  f.data_offset_ = data_offset_for(count);
+  // The table is sized from the header's n: check it fits in the file
+  // before allocating it, so a hostile n fails here, not in the allocator.
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 ||
+      static_cast<std::uint64_t>(st.st_size) < f.data_offset_) {
+    f.fail("short checksum table");
+  }
   f.tile_checksums_.resize(count);
-  const std::size_t index_bytes = count * sizeof(std::uint64_t);
-  if (count != 0) {
-    if (::pread(fd, f.tile_offsets_.data(), index_bytes, sizeof(RawHeader)) !=
-        static_cast<ssize_t>(index_bytes)) {
-      f.fail("short index");
-    }
-    if (::pread(fd, f.tile_checksums_.data(), index_bytes,
-                static_cast<off_t>(checksum_table_offset(count))) !=
-        static_cast<ssize_t>(index_bytes)) {
-      f.fail("short checksum table");
-    }
+  const std::size_t table_bytes = count * sizeof(std::uint64_t);
+  if (::pread(fd, f.tile_checksums_.data(), table_bytes,
+              static_cast<off_t>(kChecksumTableOffset)) !=
+      static_cast<ssize_t>(table_bytes)) {
+    f.fail("short checksum table");
   }
   return f;
 }
@@ -247,7 +237,7 @@ TileFile::TileFile(TileFile&& o) noexcept
       tile_dim_(o.tile_dim_),
       tiles_(o.tiles_),
       tile_bytes_(o.tile_bytes_),
-      tile_offsets_(std::move(o.tile_offsets_)),
+      data_offset_(o.data_offset_),
       tile_checksums_(std::move(o.tile_checksums_)),
       read_retries_(o.read_retries_.load(std::memory_order_relaxed)),
       injector_(std::exchange(o.injector_, nullptr)),
@@ -265,7 +255,7 @@ TileFile& TileFile::operator=(TileFile&& o) noexcept {
     tile_dim_ = o.tile_dim_;
     tiles_ = o.tiles_;
     tile_bytes_ = o.tile_bytes_;
-    tile_offsets_ = std::move(o.tile_offsets_);
+    data_offset_ = o.data_offset_;
     tile_checksums_ = std::move(o.tile_checksums_);
     read_retries_.store(o.read_retries_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
@@ -307,7 +297,7 @@ void TileFile::read_tile(std::uint32_t r, std::uint32_t c,
   }
   for (int attempt = 0;; ++attempt) {
     if (injector_ != nullptr) injector_->before_read();
-    std::uint64_t off = tile_offsets_[idx];
+    std::uint64_t off = tile_offset(r, c);
     for (const TileSection& s : sections) {
       const ssize_t got = ::pread(fd_, s.data, s.bytes,
                                   static_cast<off_t>(off));
@@ -370,7 +360,7 @@ void TileFile::write_tile(std::uint32_t r, std::uint32_t c,
     // Persist only the first half of the tile bytes, leave the checksum
     // table untouched, and die: the on-disk tile is now genuinely torn.
     std::size_t remaining = tile_bytes_ / 2;
-    std::uint64_t off = tile_offsets_[idx];
+    std::uint64_t off = tile_offset(r, c);
     for (const ConstTileSection& s : sections) {
       const std::size_t chunk = std::min(remaining, s.bytes);
       if (chunk != 0 &&
@@ -388,7 +378,7 @@ void TileFile::write_tile(std::uint32_t r, std::uint32_t c,
   }
 
   std::uint64_t h = kFnvOffsetBasis;
-  std::uint64_t off = tile_offsets_[idx];
+  std::uint64_t off = tile_offset(r, c);
   for (const ConstTileSection& s : sections) {
     if (::pwrite(fd_, s.data, s.bytes, static_cast<off_t>(off)) !=
         static_cast<ssize_t>(s.bytes)) {
@@ -406,8 +396,7 @@ void TileFile::write_tile(std::uint32_t r, std::uint32_t c,
   }
   if (::pwrite(fd_, &h, sizeof(h),
                static_cast<off_t>(
-                   checksum_table_offset(tile_checksums_.size()) +
-                   idx * sizeof(std::uint64_t))) !=
+                   kChecksumTableOffset + idx * sizeof(std::uint64_t))) !=
       static_cast<ssize_t>(sizeof(h))) {
     fail("checksum write failed");
   }

@@ -1,12 +1,17 @@
 // The fixed-record tile-file machinery shared by the two on-disk tile
 // stores — shard::TileStore (delay-matrix input, square tile grid) and
 // sink::SeverityTileStore (severity output, upper-band-triangle grid).
-// One definition of the header/index/checksum-table format, fd lifecycle,
-// and read/write+validate paths, so a hardening fix cannot land in one
-// store and miss the other. The byte layout is exactly the PR 5 format:
+// One definition of the header/checksum-table format, fd lifecycle, and
+// read/write+validate paths, so a hardening fix cannot land in one store
+// and miss the other. The byte layout:
 //
-//   [RawHeader 40B][index: tile_count u64 offsets]
+//   [RawHeader 20B: magic, version, n, tile_dim][pad to 8B]
 //   [checksums: tile_count u64 FNV-1a][pad to 64B][tile 0][tile 1]..
+//
+// The file stores nothing the reader can compute. Tiles are fixed-size and
+// written in index order, so the tile count, the tile size and every
+// tile's offset are functions of (n, tile_dim) and the store's parameters;
+// there is no offset index or size field on disk to disagree with them.
 //
 // Stores differ only in their magic/version, their index shape (square vs
 // triangular), their per-tile byte formula, and how a tile's bytes are
@@ -80,8 +85,8 @@ class TileFile {
     return shape == TileIndexShape::kSquare ? t * t : t * (t + 1) / 2;
   }
 
-  /// Streams a new tile file: writes the header, the flat offset index,
-  /// a checksum-table placeholder, and the alignment pad, then appends
+  /// Streams a new tile file: writes the header, a checksum-table
+  /// placeholder, and the alignment pad, then appends
   /// tiles in index order. finish() seeks back and commits the
   /// accumulated per-tile checksums; finish_sparse() instead records one
   /// uniform checksum for every tile and truncates the tile region into a
@@ -127,8 +132,8 @@ class TileFile {
     std::size_t appended_ = 0;
   };
 
-  /// Opens an existing tile file and validates its header, offset index,
-  /// and checksum table. Throws std::runtime_error on a missing file, a
+  /// Opens an existing tile file and validates its header and checksum
+  /// table. Throws std::runtime_error on a missing file, a
   /// malformed or foreign header, or — when expected_n is nonzero — a
   /// header geometry (n, tile_dim) that does not match what the caller
   /// requested.
@@ -146,7 +151,7 @@ class TileFile {
   HostId size() const { return n_; }
   std::uint32_t tile_dim() const { return tile_dim_; }
   std::uint32_t tiles_per_side() const { return tiles_; }
-  std::size_t tile_count() const { return tile_offsets_.size(); }
+  std::size_t tile_count() const { return tile_checksums_.size(); }
   std::size_t tile_bytes() const { return tile_bytes_; }
   bool writable() const { return writable_; }
   const std::string& path() const { return path_; }
@@ -159,11 +164,11 @@ class TileFile {
   /// r <= c for triangular files).
   std::size_t tile_index(std::uint32_t r, std::uint32_t c) const;
 
-  /// Byte offset of tile (r, c) within the file — stable for the file's
-  /// lifetime (fixed-size tiles). Exposed for the fault-injection
-  /// harnesses that corrupt tiles on disk directly.
+  /// Byte offset of tile (r, c) within the file — a function of the
+  /// geometry alone (fixed-size tiles in index order). Exposed for the
+  /// fault-injection harnesses that corrupt tiles on disk directly.
   std::uint64_t tile_offset(std::uint32_t r, std::uint32_t c) const {
-    return tile_offsets_[tile_index(r, c)];
+    return data_offset_ + tile_index(r, c) * tile_bytes_;
   }
 
   /// Attaches (or detaches, nullptr) a fault injector. The injector must
@@ -210,8 +215,8 @@ class TileFile {
   std::uint32_t tile_dim_ = 0;
   std::uint32_t tiles_ = 0;
   std::size_t tile_bytes_ = 0;
-  std::vector<std::uint64_t> tile_offsets_;    ///< flat index
-  std::vector<std::uint64_t> tile_checksums_;  ///< FNV-1a, same indexing
+  std::uint64_t data_offset_ = 0;              ///< byte offset of tile 0
+  std::vector<std::uint64_t> tile_checksums_;  ///< FNV-1a, flat index
   mutable std::atomic<std::uint64_t> read_retries_{0};
   FaultInjector* injector_ = nullptr;
 

@@ -18,7 +18,7 @@ std::size_t store_tile_bytes(std::uint32_t tile_dim) {
   return payload_floats * sizeof(float) + mask_words * sizeof(std::uint64_t);
 }
 
-constexpr TileFileParams kParams{"TIVSHRD2", 2, "TileStore",
+constexpr TileFileParams kParams{"TIVSHRD3", 3, "TileStore",
                                  TileIndexShape::kSquare, store_tile_bytes,
                                  "shard.input"};
 

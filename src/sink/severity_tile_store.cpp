@@ -9,7 +9,7 @@ std::size_t store_tile_bytes(std::uint32_t tile_dim) {
   return static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float);
 }
 
-constexpr shard::TileFileParams kParams{"TIVSSEV1", 1, "SeverityTileStore",
+constexpr shard::TileFileParams kParams{"TIVSSEV2", 2, "SeverityTileStore",
                                         shard::TileIndexShape::kTriangular,
                                         store_tile_bytes, "shard.sink"};
 

@@ -1,7 +1,7 @@
 // On-disk tiled severity *output* — the result-side counterpart of
 // shard::TileStore. The ROADMAP's N >= 1e5 target makes even the severity
 // result (an N^2 float matrix, ~40 GB) too large for RAM; this store keeps
-// it on disk in the same fixed-size-tile, header + offset-index format as
+// it on disk in the same fixed-size-tile, header + checksum-table format as
 // the input store, so the out-of-core pipeline is tile-structured end to
 // end.
 //
@@ -19,7 +19,7 @@
 // row i still walks tiles (c, band(i)) for c < band(i) column-wise, which
 // the budgeted cache (severity_cache.hpp) keeps cheap.
 //
-// The file machinery (header/offset-index/checksum-table layout, FNV-1a
+// The file machinery (header/checksum-table layout, FNV-1a
 // validation on every read_tile, in-place write_tile commits,
 // fault-injection hooks) is shard::TileFile with a triangular index shape —
 // one definition shared with the input store. create() builds the store

@@ -13,7 +13,7 @@
 namespace tiv::stream {
 namespace {
 
-constexpr char kMagic[8] = {'T', 'I', 'V', 'E', 'P', 'O', 'C', '1'};
+constexpr char kMagic[8] = {'T', 'I', 'V', 'E', 'P', 'O', 'C', '2'};
 
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
   throw std::runtime_error("EpochManifest: " + what + ": " + path);
@@ -25,30 +25,15 @@ void append(std::vector<unsigned char>& buf, const void* data,
   buf.insert(buf.end(), p, p + bytes);
 }
 
-void append_pairs(
-    std::vector<unsigned char>& buf,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& tiles) {
-  for (const auto& [r, c] : tiles) {
-    append(buf, &r, sizeof(r));
-    append(buf, &c, sizeof(c));
-  }
-}
-
 }  // namespace
 
 void EpochManifest::write(const std::string& path) const {
   std::vector<unsigned char> buf;
-  buf.reserve(sizeof(kMagic) + sizeof(generation) + 2 * sizeof(std::uint32_t) +
-              (input_tiles.size() + sink_tiles.size()) * 8 +
-              sizeof(std::uint64_t));
   append(buf, kMagic, sizeof(kMagic));
   append(buf, &generation, sizeof(generation));
-  const auto ic = static_cast<std::uint32_t>(input_tiles.size());
-  const auto sc = static_cast<std::uint32_t>(sink_tiles.size());
-  append(buf, &ic, sizeof(ic));
-  append(buf, &sc, sizeof(sc));
-  append_pairs(buf, input_tiles);
-  append_pairs(buf, sink_tiles);
+  const auto count = static_cast<std::uint32_t>(dirty_bands.size());
+  append(buf, &count, sizeof(count));
+  append(buf, dirty_bands.data(), count * sizeof(std::uint32_t));
   const std::uint64_t sum = shard::fnv1a(buf.data(), buf.size());
   append(buf, &sum, sizeof(sum));
 
@@ -76,11 +61,11 @@ std::optional<EpochManifest> EpochManifest::load(const std::string& path) {
   ::close(fd);
   if (got < 0) fail("read failed", path);
 
-  // Anything malformed — short file, bad magic, counts that overrun, or a
-  // checksum mismatch — is a manifest whose own write tore, i.e. the crash
-  // happened before any store mutation: report "clean".
-  const std::size_t fixed = sizeof(kMagic) + sizeof(std::uint64_t) +
-                            2 * sizeof(std::uint32_t);
+  // Anything malformed — short file, bad magic, a count that overruns, or
+  // a checksum mismatch — is a manifest whose own write tore, i.e. the
+  // crash happened before any store mutation: report "clean".
+  const std::size_t fixed =
+      sizeof(kMagic) + sizeof(std::uint64_t) + sizeof(std::uint32_t);
   if (buf.size() < fixed + sizeof(std::uint64_t)) return std::nullopt;
   if (std::memcmp(buf.data(), kMagic, sizeof(kMagic)) != 0) {
     return std::nullopt;
@@ -95,32 +80,18 @@ std::optional<EpochManifest> EpochManifest::load(const std::string& path) {
   std::size_t off = sizeof(kMagic);
   std::memcpy(&m.generation, buf.data() + off, sizeof(m.generation));
   off += sizeof(m.generation);
-  std::uint32_t ic = 0;
-  std::uint32_t sc = 0;
-  std::memcpy(&ic, buf.data() + off, sizeof(ic));
-  off += sizeof(ic);
-  std::memcpy(&sc, buf.data() + off, sizeof(sc));
-  off += sizeof(sc);
-  if (buf.size() !=
-      fixed + (static_cast<std::size_t>(ic) + sc) * 8 + sizeof(sum)) {
+  std::uint32_t count = 0;
+  std::memcpy(&count, buf.data() + off, sizeof(count));
+  off += sizeof(count);
+  if (buf.size() != fixed + std::size_t{count} * sizeof(std::uint32_t) +
+                        sizeof(sum)) {
     return std::nullopt;
   }
-  auto read_pairs =
-      [&](std::uint32_t count,
-          std::vector<std::pair<std::uint32_t, std::uint32_t>>& tiles) {
-        tiles.reserve(count);
-        for (std::uint32_t t = 0; t < count; ++t) {
-          std::uint32_t r = 0;
-          std::uint32_t c = 0;
-          std::memcpy(&r, buf.data() + off, sizeof(r));
-          off += sizeof(r);
-          std::memcpy(&c, buf.data() + off, sizeof(c));
-          off += sizeof(c);
-          tiles.emplace_back(r, c);
-        }
-      };
-  read_pairs(ic, m.input_tiles);
-  read_pairs(sc, m.sink_tiles);
+  m.dirty_bands.resize(count);
+  if (count != 0) {
+    std::memcpy(m.dirty_bands.data(), buf.data() + off,
+                count * sizeof(std::uint32_t));
+  }
   return m;
 }
 

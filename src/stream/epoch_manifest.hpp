@@ -10,33 +10,37 @@
 // The manifest is a tiny write-ahead record fixing that set. Protocol:
 //
 //   1. before the first in-place write of an epoch, write
-//      `<sink path>.epoch` listing the epoch's generation number, every
-//      input tile about to be repacked, and every sink tile about to be
-//      rewritten; fsync it;
+//      `<sink path>.epoch` holding the epoch's generation number and its
+//      sorted dirty tile-band ids; fsync it;
 //   2. apply the in-place writes (any order, any parallelism);
 //   3. remove the manifest — the commit point.
 //
-// On open, a present manifest means a torn epoch: exactly the journaled
+// The band ids are all the journal needs: the tiles an epoch rewrites are
+// a function of them (input tiles dirty x dirty, sink tiles every (i <= j)
+// with band i or band j dirty), and the engine computes them with one
+// function for the epoch and for its recovery.
+//
+// On open, a present manifest means a torn epoch: exactly the epoch's
 // tiles are suspect; everything else is bit-exact (fixed-size tiles at
 // stable offsets — an in-place tile write touches no other tile's bytes).
-// ShardStreamEngine::recover() repacks the journaled input tiles from the
-// post-epoch matrix and rebuilds the journaled sink tiles from the repaired
-// input store, converging to exactly the state a completed epoch would have
+// ShardStreamEngine::recover() repacks the epoch's input tiles from the
+// post-epoch matrix and rebuilds its sink tiles from the repaired input
+// store, converging to exactly the state a completed epoch would have
 // produced. A manifest that fails its own checksum means the crash happened
 // during step 1, before any store mutation — the stores are clean and the
-// torn manifest is simply discarded.
+// torn manifest is simply discarded. A checksum-valid manifest is still
+// untrusted: recover() rejects a band id out of range, or a list that is
+// not strictly increasing, before it touches any tile.
 //
 // Format (little-endian, FNV-1a trailer over everything before it):
 //
-//   [magic "TIVEPOC1"][u64 generation]
-//   [u32 input_count][u32 sink_count][input r,c u32 pairs...][sink pairs...]
+//   [magic "TIVEPOC2"][u64 generation][u32 band_count][u32 band ids...]
 //   [u64 fnv1a]
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace tiv::stream {
@@ -45,10 +49,8 @@ struct EpochManifest {
   /// Monotone epoch counter (the engine's epochs_applied + 1 at write
   /// time) — lets recovery and tests tell *which* epoch tore.
   std::uint64_t generation = 0;
-  /// Input-store tiles the epoch repacks in place, as (r, c).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> input_tiles;
-  /// Sink tiles the epoch rewrites in place, as (r, c), r <= c.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> sink_tiles;
+  /// Tile bands holding a dirty host, strictly increasing.
+  std::vector<std::uint32_t> dirty_bands;
 
   /// Durably writes the manifest to `path` (write + fsync; rename-free —
   /// a torn manifest is detected by its checksum and means "no mutation

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -49,6 +50,33 @@ std::string derive_path(const std::string& configured, const char* tag) {
                     std::to_string(::getpid()) + "_" +
                     std::to_string(counter.fetch_add(1)) + ".tiles";
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// The tiles an epoch over `dirty_bands` (strictly increasing, each below
+/// `bands`) rewrites, both lists row-major. A changed input entry (x, y)
+/// dirties both endpoints, so the changed input tiles are precisely
+/// dirty x dirty; a sink tile (i <= j) can hold a dirty edge exactly when
+/// band i or band j is dirty. The one definition behind apply_epoch and
+/// recover(): the journal stores only the bands.
+struct EpochTiles {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> input;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> sink;
+};
+
+EpochTiles epoch_tiles(const std::vector<std::uint32_t>& dirty_bands,
+                       std::uint32_t bands) {
+  EpochTiles t;
+  for (const std::uint32_t r : dirty_bands) {
+    for (const std::uint32_t c : dirty_bands) t.input.emplace_back(r, c);
+  }
+  std::vector<std::uint8_t> dirty(bands, 0);
+  for (const std::uint32_t b : dirty_bands) dirty[b] = 1;
+  for (std::uint32_t i = 0; i < bands; ++i) {
+    for (std::uint32_t j = i; j < bands; ++j) {
+      if (dirty[i] || dirty[j]) t.sink.emplace_back(i, j);
+    }
+  }
+  return t;
 }
 
 /// Ceiling on heal/retry actions per engine operation: generous enough for
@@ -114,29 +142,45 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag,
 
   link_recovery_metrics();
 
-  const auto manifest =
-      EpochManifest::load(EpochManifest::path_for(config_.sink_path));
+  const std::string journal = EpochManifest::path_for(config_.sink_path);
+  const auto manifest = EpochManifest::load(journal);
   if (!manifest.has_value()) return;  // clean shutdown (or torn manifest
                                       // write — stores untouched either way)
 
+  // A checksum-valid journal is still untrusted input: every band must
+  // name a real tile band, in the strictly increasing order apply_epoch
+  // writes. Rejected before any tile is touched.
+  const std::vector<std::uint32_t>& bands = manifest->dirty_bands;
+  const std::uint32_t tiles = input_->tiles_per_side();
+  for (std::size_t k = 0; k < bands.size(); ++k) {
+    if (bands[k] >= tiles || (k != 0 && bands[k] <= bands[k - 1])) {
+      throw std::runtime_error(
+          "ShardStreamEngine::recover: journal band " +
+          std::to_string(bands[k]) + " at position " + std::to_string(k) +
+          " is out of range (" + std::to_string(tiles) +
+          " bands) or not strictly increasing: " + journal);
+    }
+  }
+
   obs::Span span("recovery-action");
-  // Torn epoch: only the journaled tiles are suspect. Re-repack every
-  // journaled input tile from the post-epoch matrix (idempotent for the
-  // ones that did land), then rebuild every journaled sink tile from the
+  // Torn epoch: only the epoch's tiles are suspect. Re-repack every input
+  // tile it names from the post-epoch matrix (idempotent for the ones that
+  // did land), then rebuild every sink tile it names from the
   // now-consistent input store — the full-build one-tile driver, so each
   // converges to exactly the bytes the completed epoch would have written.
-  for (const auto& [r, c] : manifest->input_tiles) {
+  const EpochTiles torn = epoch_tiles(bands, tiles);
+  for (const auto& [r, c] : torn.input) {
     input_->repack_tile(matrix, r, c);
     input_cache_->invalidate(r, c);
   }
-  for (const auto& [r, c] : manifest->sink_tiles) {
+  for (const auto& [r, c] : torn.sink) {
     with_recovery([&, r = r, c = c] {
       core::rebuild_sink_tile(*input_, *input_cache_, *sink_, r, c);
       return 0;
     });
     sink_cache_->invalidate(r, c);
   }
-  EpochManifest::clear(EpochManifest::path_for(config_.sink_path));
+  EpochManifest::clear(journal);
   epochs_applied_ = manifest->generation;
   recovery_.torn_epochs_replayed.increment();
 }
@@ -255,6 +299,12 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
   const std::uint32_t bands = input_->tiles_per_side();
   std::vector<std::uint8_t> band_dirty(bands, 0);
   for (const HostId h : dirty_hosts) band_dirty[h / T] = 1;
+  EpochManifest manifest;
+  manifest.generation = epochs_applied_ + 1;
+  for (std::uint32_t b = 0; b < bands; ++b) {
+    if (band_dirty[b]) manifest.dirty_bands.push_back(b);
+  }
+  const EpochTiles tiles = epoch_tiles(manifest.dirty_bands, bands);
 
   // `matrix` is the ground truth while this epoch applies: make it the
   // repair source so corrupt input tiles heal mid-epoch too (restored on
@@ -271,40 +321,23 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
   // read could pin a tile across invalidate(), or observe a torn write).
   input_cache_->drain_prefetch();
 
-  // 1. Journal the epoch before the first in-place write: the input tiles
-  // about to be repacked and the superset of sink tiles that can hold a
-  // dirty edge. A kill anywhere past this point leaves a manifest naming
-  // every possibly-torn tile; recover() replays exactly those (replaying
-  // an untouched one is an idempotent rewrite of identical bytes).
-  EpochManifest manifest;
-  manifest.generation = epochs_applied_ + 1;
-  for (std::uint32_t b = 0; b < bands; ++b) {
-    if (!band_dirty[b]) continue;
-    for (std::uint32_t c = 0; c < bands; ++c) {
-      if (band_dirty[c]) manifest.input_tiles.emplace_back(b, c);
-    }
-  }
-  for (std::uint32_t bi = 0; bi < bands; ++bi) {
-    for (std::uint32_t bj = bi; bj < bands; ++bj) {
-      if (band_dirty[bi] || band_dirty[bj]) {
-        manifest.sink_tiles.emplace_back(bi, bj);
-      }
-    }
-  }
+  // 1. Journal the epoch's dirty bands before the first in-place write:
+  // they fix the input tiles about to be repacked and the superset of sink
+  // tiles that can hold a dirty edge. A kill anywhere past this point
+  // leaves a manifest naming every possibly-torn tile; recover() replays
+  // exactly those (replaying an untouched one is an idempotent rewrite of
+  // identical bytes).
   const std::string manifest_path =
       EpochManifest::path_for(sink_->path());
   manifest.write(manifest_path);
 
-  // 2. Input repair. A changed entry (x, y) requires edge (x, y) updated,
-  // and DelayStream dirties both endpoints — so a tile can only have
-  // changed when BOTH its row band and its column band hold a dirty host.
-  // The changed input tiles are precisely dirty_bands x dirty_bands;
-  // repack each in place and drop any cached copy so the severity pass
-  // below reads the post-epoch bytes. Tiles with one clean side are
-  // byte-identical to a fresh build already and are not touched.
+  // 2. Input repair: repack each changed tile (dirty x dirty) in place and
+  // drop any cached copy so the severity pass below reads the post-epoch
+  // bytes. Tiles with one clean side are byte-identical to a fresh build
+  // already and are not touched.
   {
     obs::Span repack_span("tile-repack");
-    for (const auto& [b, c] : manifest.input_tiles) {
+    for (const auto& [b, c] : tiles.input) {
       input_->repack_tile(matrix, b, c);
       input_cache_->invalidate(b, c);
       ++stats.input_tiles_repacked;
@@ -327,7 +360,7 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
     // 4. Sink-cache coherence: drop every cached severity tile that can
     // contain a dirty edge (a superset of the tiles actually rewritten —
     // re-reading an unchanged tile is just a cold read).
-    for (const auto& [bi, bj] : manifest.sink_tiles) {
+    for (const auto& [bi, bj] : tiles.sink) {
       sink_cache_->invalidate(bi, bj);
     }
 

@@ -36,10 +36,11 @@
 //     corrupt input tile is repacked from the attached live matrix
 //     (attach_source), and the interrupted operation retries. Healed-tile
 //     counts are in recovery_stats().
-//   - Epoch commits are crash-safe: apply_epoch journals the tiles it is
-//     about to rewrite (stream/epoch_manifest) before the first in-place
-//     write and clears the journal after the last. recover() reopens the
-//     stores of a killed process, replays exactly the journaled tiles, and
+//   - Epoch commits are crash-safe: apply_epoch journals its dirty tile
+//     bands, which fix the tiles it is about to rewrite
+//     (stream/epoch_manifest), before the first in-place write and clears
+//     the journal after the last. recover() reopens the stores of a killed
+//     process, replays exactly the epoch's tiles, and
 //     converges to the state the completed epoch would have produced —
 //     bit-identical to the in-memory path.
 #pragma once
@@ -124,21 +125,23 @@ class ShardStreamEngine {
   /// disk — after a crash or a clean shutdown with keep_files. Rejects a
   /// file whose header geometry does not match (matrix.size(),
   /// config.tile_dim). If a torn epoch manifest is present, replays it:
-  /// the journaled input tiles are repacked from `matrix` (which must be
+  /// the epoch's input tiles are repacked from `matrix` (which must be
   /// the *post-epoch* matrix — DelayStream mutates it before apply_epoch
-  /// runs) and the journaled sink tiles are rebuilt from the repaired
-  /// input store, converging bit-identically to the completed epoch. The
-  /// matrix is retained as the attached source (see attach_source) and
-  /// must outlive the engine.
+  /// runs) and its sink tiles are rebuilt from the repaired input store,
+  /// converging bit-identically to the completed epoch. A manifest whose
+  /// band list names a band >= tiles_per_side() or is not strictly
+  /// increasing throws std::runtime_error naming the manifest file, before
+  /// any tile is touched. The matrix is retained as the attached source
+  /// (see attach_source) and must outlive the engine.
   static ShardStreamEngine recover(const delayspace::DelayMatrix& matrix,
                                    ShardStreamConfig config);
 
   /// Repairs input tiles and sink severities after an epoch that dirtied
   /// `dirty_hosts` (ascending, distinct — what DelayStream::commit_epoch
   /// returns). `matrix` must be the stream's mutated matrix (same size as
-  /// at construction). Crash-safe: the tiles about to be rewritten are
-  /// journaled first, so a kill anywhere inside is recoverable via
-  /// recover().
+  /// at construction). Crash-safe: the dirty bands, which fix the tiles
+  /// about to be rewritten, are journaled first, so a kill anywhere inside
+  /// is recoverable via recover().
   EpochStats apply_epoch(const delayspace::DelayMatrix& matrix,
                          std::span<const HostId> dirty_hosts);
 

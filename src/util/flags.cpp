@@ -64,6 +64,27 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
                               " expects an integer, got: " + it->second);
 }
 
+std::uint64_t Flags::get_uint_at_most(const std::string& name,
+                                      std::uint64_t def,
+                                      std::uint64_t max) const {
+  consumed_[name] = true;
+  const auto it = values_.find(name);
+  if (it == values_.end()) return def;
+  // Digits only: std::stoull would accept "-1" and wrap it.
+  const std::string& v = it->second;
+  if (!v.empty() && v.find_first_not_of("0123456789") == std::string::npos) {
+    try {
+      const unsigned long long parsed = std::stoull(v);
+      if (parsed <= max) return parsed;
+    } catch (const std::out_of_range&) {
+      // above 2^64 - 1: reported below
+    }
+  }
+  throw std::invalid_argument("flag --" + name +
+                              " expects an integer in [0, " +
+                              std::to_string(max) + "], got: " + v);
+}
+
 double Flags::get_double(const std::string& name, double def) const {
   consumed_[name] = true;
   const auto it = values_.find(name);

@@ -5,9 +5,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace tiv {
@@ -27,6 +29,15 @@ class Flags {
   /// "--threshold=0.5x" throw std::invalid_argument instead of silently
   /// running with 12 or 0.5.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// A count or size: the value must be a plain decimal in [0, max of T].
+  /// "--runs=-1" and "--hosts=4294967296" (for a 32-bit T) throw
+  /// std::invalid_argument instead of wrapping to a huge count.
+  template <typename T>
+  T get_uint(const std::string& name, T def) const {
+    static_assert(std::is_unsigned_v<T>);
+    return static_cast<T>(
+        get_uint_at_most(name, def, std::numeric_limits<T>::max()));
+  }
   double get_double(const std::string& name, double def) const;
   /// Bare "--name" and "--name=true/1/yes" are true; "--name=false/0/no" is
   /// false. Throws on other values.
@@ -39,6 +50,9 @@ class Flags {
   const std::string& program_name() const { return program_name_; }
 
  private:
+  std::uint64_t get_uint_at_most(const std::string& name, std::uint64_t def,
+                                 std::uint64_t max) const;
+
   std::string program_name_;
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> consumed_;

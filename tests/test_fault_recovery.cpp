@@ -7,7 +7,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -196,15 +199,13 @@ TEST(EpochManifest, RoundTripAndClear) {
   const std::string path = scratch_path("manifest");
   EpochManifest m;
   m.generation = 42;
-  m.input_tiles = {{0, 0}, {0, 2}, {2, 0}};
-  m.sink_tiles = {{0, 1}, {1, 2}};
+  m.dirty_bands = {0, 2, 5};
   m.write(path);
 
   const auto got = EpochManifest::load(path);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->generation, 42u);
-  EXPECT_EQ(got->input_tiles, m.input_tiles);
-  EXPECT_EQ(got->sink_tiles, m.sink_tiles);
+  EXPECT_EQ(got->dirty_bands, m.dirty_bands);
 
   EpochManifest::clear(path);
   EXPECT_FALSE(std::filesystem::exists(path));
@@ -216,8 +217,7 @@ TEST(EpochManifest, TornManifestLoadsAsClean) {
   const std::string path = scratch_path("manifest_torn");
   EpochManifest m;
   m.generation = 7;
-  m.input_tiles = {{1, 1}};
-  m.sink_tiles = {{0, 1}};
+  m.dirty_bands = {1};
   m.write(path);
   // A crash mid-manifest-write leaves a short or checksum-broken file:
   // both must read as "no torn epoch" (the stores were not touched yet).
@@ -227,6 +227,149 @@ TEST(EpochManifest, TornManifestLoadsAsClean) {
   rot_byte_at(path, 9);
   EXPECT_FALSE(EpochManifest::load(path).has_value());
   std::filesystem::remove(path);
+}
+
+TEST(EpochManifest, RecoverRejectsBadBandListsBeforeTouchingAnyTile) {
+  // A checksum-valid journal is still untrusted: a band id past the tile
+  // grid, an unsorted list, or a duplicate must fail recover() with an
+  // error naming the journal, and leave both stores byte for byte as they
+  // were.
+  const DelayMatrix m = random_matrix(37, 0.3, 64);  // 3 bands of 16
+  auto cfg = engine_config("badbands", /*keep_files=*/true);
+  { ShardStreamEngine build(m, cfg); }
+  auto read_file = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  };
+  const std::vector<char> input_before = read_file(cfg.input_path);
+  const std::vector<char> sink_before = read_file(cfg.sink_path);
+  const std::string journal = EpochManifest::path_for(cfg.sink_path);
+
+  const std::vector<std::vector<std::uint32_t>> bad_lists = {
+      {3}, {0, 1000000}, {2, 1}, {1, 1}};
+  for (const auto& bands : bad_lists) {
+    EpochManifest manifest;
+    manifest.generation = 1;
+    manifest.dirty_bands = bands;
+    manifest.write(journal);
+    ASSERT_TRUE(EpochManifest::load(journal).has_value());
+    try {
+      ShardStreamEngine::recover(m, cfg);
+      ADD_FAILURE() << "recover accepted band list of size " << bands.size();
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(journal), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(read_file(cfg.input_path), input_before);
+    EXPECT_EQ(read_file(cfg.sink_path), sink_before);
+  }
+
+  // The same stores with a valid list recover (and replay) normally.
+  EpochManifest manifest;
+  manifest.generation = 1;
+  manifest.dirty_bands = {0, 2};
+  manifest.write(journal);
+  cfg.keep_files = false;
+  ShardStreamEngine engine = ShardStreamEngine::recover(m, cfg);
+  EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 1u);
+  EXPECT_TRUE(engine_matches(engine, core::TivAnalyzer(m).all_severities()));
+}
+
+// --- Format versions ---------------------------------------------------------
+
+/// Writes a tile file in the previous layout: a 40-byte header (magic,
+/// version, n, tile_dim, tiles, tile_bytes, data_offset), an offset index,
+/// the checksum table, a pad to 64 bytes, then zero tiles.
+void write_previous_tile_file(const std::string& path, const char* magic,
+                              std::uint32_t version, std::uint32_t n,
+                              std::uint32_t tile_dim, std::uint64_t tile_bytes,
+                              std::uint64_t count) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const std::uint32_t tiles = (n + tile_dim - 1) / tile_dim;
+  const std::uint64_t data_offset = (40 + 16 * count + 63) / 64 * 64;
+  std::fwrite(magic, 1, 8, f);
+  for (const std::uint32_t v : {version, n, tile_dim, tiles}) {
+    std::fwrite(&v, sizeof(v), 1, f);
+  }
+  for (const std::uint64_t v : {tile_bytes, data_offset}) {
+    std::fwrite(&v, sizeof(v), 1, f);
+  }
+  for (std::uint64_t t = 0; t < count; ++t) {
+    const std::uint64_t off = data_offset + t * tile_bytes;
+    std::fwrite(&off, sizeof(off), 1, f);
+  }
+  const std::vector<char> zeros(data_offset - 40 - 8 * count +
+                                    count * tile_bytes,
+                                0);
+  std::fwrite(zeros.data(), 1, zeros.size(), f);
+  std::fclose(f);
+}
+
+TEST(FormatVersion, PreviousFormatsAreRejected) {
+  // Both tile formats and the journal changed layout; a file in the
+  // previous layout must fail the existing clean checks, never be parsed
+  // as the new one.
+  const std::string in_path = scratch_path("v2_in");
+  const std::string out_path = scratch_path("v1_out");
+  const std::uint32_t n = 20;
+  const std::uint32_t t = 16;
+  write_previous_tile_file(in_path, "TIVSHRD2", 2, n, t,
+                           t * t * sizeof(float) + t * sizeof(std::uint64_t),
+                           4);
+  write_previous_tile_file(out_path, "TIVSSEV1", 1, n, t,
+                           t * t * sizeof(float), 3);
+  for (const bool writable : {false, true}) {
+    try {
+      shard::TileStore::open(in_path, writable);
+      ADD_FAILURE() << "TileStore opened a previous-format file";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+          << e.what();
+    }
+    try {
+      sink::SeverityTileStore::open(out_path, writable);
+      ADD_FAILURE() << "SeverityTileStore opened a previous-format file";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+          << e.what();
+    }
+  }
+  ShardStreamConfig cfg;
+  cfg.tile_dim = t;
+  cfg.input_path = in_path;
+  cfg.sink_path = out_path;
+  cfg.keep_files = true;
+  EXPECT_THROW(ShardStreamEngine::recover(random_matrix(n, 0.0, 1), cfg),
+               std::runtime_error);
+
+  // The previous journal ([TIVEPOC1][generation][input and sink tile
+  // counts][tile pairs][fnv1a]) is not a journal of this format: it loads
+  // as absent, like any manifest whose write tore.
+  const std::string journal = scratch_path("v1_journal");
+  std::vector<unsigned char> buf(8);
+  std::memcpy(buf.data(), "TIVEPOC1", 8);
+  auto put = [&buf](const auto v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    buf.insert(buf.end(), p, p + sizeof(v));
+  };
+  put(std::uint64_t{1});
+  put(std::uint32_t{1});
+  put(std::uint32_t{1});
+  for (const std::uint32_t v : {0u, 0u, 0u, 0u}) put(v);
+  put(shard::fnv1a(buf.data(), buf.size()));
+  {
+    std::FILE* f = std::fopen(journal.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(buf.data(), 1, buf.size(), f);
+    std::fclose(f);
+  }
+  EXPECT_FALSE(EpochManifest::load(journal).has_value());
+
+  std::filesystem::remove(in_path);
+  std::filesystem::remove(out_path);
+  std::filesystem::remove(journal);
 }
 
 // --- Self-healing reads ------------------------------------------------------

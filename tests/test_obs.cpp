@@ -376,7 +376,7 @@ TEST(ObsPipeline, EngineEpochSpanNestsItsPhases) {
   set_parallel_thread_count(0);
 }
 
-// --- Histogram JSON bucket encodings ----------------------------------------
+// --- Histogram JSON buckets -------------------------------------------------
 
 TEST(ObsSnapshot, SparseBucketsSkipEmptyAndKeyByLowerBound) {
   MetricsSnapshot s;
@@ -393,71 +393,28 @@ TEST(ObsSnapshot, SparseBucketsSkipEmptyAndKeyByLowerBound) {
       << out.str();
 }
 
-TEST(ObsSnapshot, DenseBucketsEmitTheFullArray) {
-  MetricsSnapshot s;
-  s.histograms["h"].buckets[4] = 2;
+// --- JSONL reporter -----------------------------------------------------------
+
+TEST(ObsReporter, EachLineCarriesTheDeltaSinceThePrevious) {
+  Counter& c = MetricsRegistry::instance().counter("test.reporter.ticks");
   std::ostringstream out;
-  s.write_json(out, MetricsJsonOptions{.dense_histograms = true});
-  const std::string j = out.str();
-  const std::size_t open = j.find("\"buckets\":[");
-  ASSERT_NE(open, std::string::npos) << j;
-  // 65 fixed entries -> 64 commas between them.
-  const std::size_t close = j.find(']', open);
-  ASSERT_NE(close, std::string::npos);
-  EXPECT_EQ(std::count(j.begin() + static_cast<std::ptrdiff_t>(open),
-                       j.begin() + static_cast<std::ptrdiff_t>(close), ','),
-            64);
-}
-
-// --- Prometheus exposition --------------------------------------------------
-
-TEST(ObsPrometheus, MetricNameSanitization) {
-  EXPECT_EQ(prom::metric_name("pool.chunks_claimed"),
-            "tiv_pool_chunks_claimed");
-  EXPECT_EQ(prom::metric_name("a-b c.d"), "tiv_a_b_c_d");
-  EXPECT_EQ(prom::metric_name("ns:sub"), "tiv_ns:sub");  // colons are legal
-}
-
-TEST(ObsPrometheus, HelpEscaping) {
-  EXPECT_EQ(prom::escape_help("plain"), "plain");
-  EXPECT_EQ(prom::escape_help("a\\b\nc"), "a\\\\b\\nc");
-}
-
-TEST(ObsPrometheus, BucketsAreCumulativeAndInfClosesTheSeries) {
-  MetricsSnapshot s;
-  s.counters["engine.epochs"] = 7;
-  s.gauges["cache.bytes"] = -5;
-  auto& h = s.histograms["epoch.ns"];
-  h.count = 5;
-  h.sum = 30;
-  h.buckets[2] = 3;  // values in [2, 4), le = 3
-  h.buckets[4] = 2;  // values in [8, 16), le = 15
-  std::ostringstream out;
-  SnapshotReporter::write_prometheus(out, s);
+  SnapshotReporter reporter(out);
+  c.add(5);
+  reporter.report_now("first");
+  c.add(2);
+  reporter.report_now();
   const std::string text = out.str();
-
-  EXPECT_NE(text.find("# TYPE tiv_engine_epochs counter\n"
-                      "tiv_engine_epochs 7\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("# TYPE tiv_cache_bytes gauge\ntiv_cache_bytes -5\n"),
-            std::string::npos);
-  // Cumulative counts: 3 at le=3, then 3+2=5 at le=15; empty buckets are
-  // skipped and +Inf carries the total.
-  EXPECT_NE(text.find("tiv_epoch_ns_bucket{le=\"3\"} 3\n"
-                      "tiv_epoch_ns_bucket{le=\"15\"} 5\n"
-                      "tiv_epoch_ns_bucket{le=\"+Inf\"} 5\n"
-                      "tiv_epoch_ns_sum 30\n"
-                      "tiv_epoch_ns_count 5\n"),
-            std::string::npos)
-      << text;
-}
-
-TEST(ObsPrometheus, LiveRegistrySnapshotRenders) {
-  MetricsRegistry::instance().counter("test.prom.live").add(2);
-  std::ostringstream out;
-  SnapshotReporter::write_prometheus(out);
-  EXPECT_NE(out.str().find("tiv_test_prom_live"), std::string::npos);
+  const std::size_t nl = text.find('\n');
+  ASSERT_NE(nl, std::string::npos);
+  const std::string first = text.substr(0, nl);
+  const std::string second = text.substr(nl + 1);
+  EXPECT_EQ(first.rfind("{\"seq\":0,", 0), 0u) << first;
+  EXPECT_NE(first.find("\"label\":\"first\""), std::string::npos) << first;
+  EXPECT_NE(first.find("\"test.reporter.ticks\":5"), std::string::npos);
+  EXPECT_EQ(second.rfind("{\"seq\":1,", 0), 0u) << second;
+  EXPECT_EQ(second.find("\"label\""), std::string::npos) << second;
+  EXPECT_NE(second.find("\"test.reporter.ticks\":2"), std::string::npos)
+      << second;
 }
 
 }  // namespace

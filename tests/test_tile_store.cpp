@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -255,6 +256,61 @@ TEST(TileStore, RepackTileIsByteIdenticalToFreshBuild) {
   const std::vector<char> want((std::istreambuf_iterator<char>(fresh)),
                                std::istreambuf_iterator<char>());
   EXPECT_EQ(got, want);
+  std::filesystem::remove(path);
+  std::filesystem::remove(fresh_path);
+}
+
+TEST(TileStore, OverwrittenBytesAfterHeaderHealByRepackingEveryTile) {
+  // Past the 20-byte header the file holds only checksums and tiles, and
+  // every offset is computed from (n, tile_dim): no stored structure can
+  // misdirect a write. So whatever 8 bytes after the header are
+  // overwritten, repacking every tile through a writable open restores a
+  // store that reads back byte-identical to a fresh write_matrix.
+  const DelayMatrix m = random_matrix(37, 0.25, 24);  // 3 x 3 tiles of 16
+  const std::string fresh_path = scratch_path("overwrite_fresh");
+  TileStore::write_matrix(fresh_path, m, 16);
+  auto read_file = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  };
+  auto read_all_tiles = [](const TileStore& store) {
+    std::vector<float> payload(store.payload_floats());
+    std::vector<std::uint64_t> masks(store.mask_words());
+    std::vector<float> out_payload;
+    std::vector<std::uint64_t> out_masks;
+    for (std::uint32_t r = 0; r < store.tiles_per_side(); ++r) {
+      for (std::uint32_t c = 0; c < store.tiles_per_side(); ++c) {
+        store.read_tile(r, c, payload.data(), masks.data());
+        out_payload.insert(out_payload.end(), payload.begin(), payload.end());
+        out_masks.insert(out_masks.end(), masks.begin(), masks.end());
+      }
+    }
+    return std::make_pair(out_payload, out_masks);
+  };
+  const std::vector<char> fresh = read_file(fresh_path);
+  const auto want = read_all_tiles(TileStore::open(fresh_path));
+
+  constexpr std::size_t kHeaderBytes = 20;
+  const std::string path = scratch_path("overwrite");
+  for (std::size_t off = kHeaderBytes; off + 8 <= fresh.size(); ++off) {
+    std::vector<char> bytes = fresh;
+    for (std::size_t k = 0; k < 8; ++k) bytes[off + k] ^= 0x5a;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    {
+      auto store = TileStore::open(path, /*writable=*/true);
+      for (std::uint32_t r = 0; r < store.tiles_per_side(); ++r) {
+        for (std::uint32_t c = 0; c < store.tiles_per_side(); ++c) {
+          store.repack_tile(m, r, c);
+        }
+      }
+    }
+    ASSERT_EQ(read_all_tiles(TileStore::open(path)), want)
+        << "8 bytes overwritten at offset " << off;
+  }
   std::filesystem::remove(path);
   std::filesystem::remove(fresh_path);
 }

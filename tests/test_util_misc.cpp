@@ -94,6 +94,22 @@ TEST(Flags, RejectsBadInteger) {
   }
 }
 
+TEST(Flags, UnsignedGetterIsRangeChecked) {
+  const auto f = make_flags(
+      {"prog", "--runs=4294967295", "--seed=18446744073709551615"});
+  EXPECT_EQ(f.get_uint<std::uint32_t>("runs", 1), 4294967295u);
+  EXPECT_EQ(f.get_uint<std::uint64_t>("seed", 0), 18446744073709551615u);
+  EXPECT_EQ(f.get_uint<std::size_t>("absent", 7), 7u);
+  // Negative values, values past the target type, and anything but plain
+  // digits are errors, never a wrapped count.
+  for (const char* arg : {"--n=-1", "--n=4294967296", "--n=+5", "--n= 5",
+                          "--n=12abc", "--n=", "--n=99999999999999999999"}) {
+    const auto g = make_flags({"prog", arg});
+    EXPECT_THROW(g.get_uint<std::uint32_t>("n", 0), std::invalid_argument)
+        << arg;
+  }
+}
+
 TEST(Flags, RejectsBadDouble) {
   for (const char* arg : {"--x=abc", "--x=0.5x"}) {
     const auto f = make_flags({"prog", arg});
