@@ -8,8 +8,14 @@
 //    {"section":"kernel","n":1024,"threads":1,"missing_fraction":0.1,
 //     "scalar_ms":..., "blocked_ms":..., "count_ms":...,
 //     "ratio_over_count":..., "speedup":..., "max_rel_err":...,
-//     "witness_ops":..., "bytes_touched":..., "gops_per_s":..., "gb_per_s":...},
+//     "witness_ops":..., "bytes_touched":..., "gops_per_s":..., "gb_per_s":...,
+//     "violating_block_share":...},
 //    ...]
+//
+// The meta record's "ratio_kernel" names the witness_ratio_accumulate this
+// build compiled: "avx512_block_sparse" or "dense" (no AVX-512, e.g. a
+// -DTIV_NATIVE_ARCH=OFF build), so a run on a runner without AVX-512 shows
+// up as such instead of passing as a measurement of the sparse kernel.
 //
 // count_ms times the exact violating_triangle_fraction(0): the same tiled
 // pair loop over the same packed view as blocked_ms (all_severities), with
@@ -25,8 +31,10 @@
 //   witness_ops   = C(n,2) * n        (pair-witness relaxations)
 //   bytes_touched = witness_ops * 8   (two float loads per relaxation)
 // and gb_per_s / gops_per_s divide those by the measured blocked_ms. They
-// make the ROADMAP's bandwidth-vs-compute positioning machine-checkable
-// without hardware counters.
+// are nominal counts: the block-sparse kernel compares every witness but
+// divides only in the 16-column blocks that hold a violator, and
+// violating_block_share (computed outside the timed region) is the share
+// of measured pairs' scanned blocks that do.
 //
 // Flags:
 //   --quick        n in {256, 512} only (CI smoke run)
@@ -36,9 +44,13 @@
 //   --seed=S       RNG seed for the synthetic matrix
 //
 // The matrix is synthetic uniform-random RTTs rather than a generated delay
-// space: kernel cost depends only on n and the missing pattern, and this
-// keeps the 2048-host case cheap to set up.
+// space, which keeps the 2048-host case cheap to set up. Kernel cost
+// depends on n, the missing pattern and how many witnesses violate; the
+// uniform matrix is the dense case for the block-sparse kernel (about two
+// thirds of its blocks hold a violator at 10% missing, against about a
+// third on the ds2 delay space), so it bounds the kernel's cost from above.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -48,6 +60,7 @@
 
 #include "bench_common.hpp"
 #include "core/severity.hpp"
+#include "core/witness_kernels.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
@@ -58,6 +71,7 @@ namespace {
 using tiv::core::SeverityMatrix;
 using tiv::core::TivAnalyzer;
 using tiv::delayspace::DelayMatrix;
+using tiv::delayspace::DelayMatrixView;
 using tiv::delayspace::HostId;
 
 using tiv::bench::random_matrix;
@@ -77,6 +91,41 @@ double max_rel_err(const SeverityMatrix& got, const SeverityMatrix& want) {
     }
   }
   return worst;
+}
+
+/// Share of the 16-column witness blocks the ratio kernel scans for the
+/// measured pairs (a < c) of `view` that hold a violator, i.e. in which
+/// the block-sparse kernel divides.
+double violating_block_share(const DelayMatrixView& view) {
+  const HostId n = view.size();
+  const std::size_t blocks = view.stride() / tiv::core::kWitnessBlock;
+  std::atomic<std::uint64_t> scanned{0};
+  std::atomic<std::uint64_t> violating{0};
+  tiv::parallel_for(n, [&](std::size_t a) {
+    const float* ra = view.row(static_cast<HostId>(a));
+    std::uint64_t s = 0;
+    std::uint64_t v = 0;
+    for (HostId c = static_cast<HostId>(a) + 1; c < n; ++c) {
+      const float dac = ra[c];
+      if (dac >= DelayMatrixView::kMaskedDelay) continue;
+      const float* rc = view.row(c);
+      s += blocks;
+      for (std::size_t k = 0; k < blocks; ++k) {
+        bool any = false;
+        for (std::size_t b = k * tiv::core::kWitnessBlock;
+             b < (k + 1) * tiv::core::kWitnessBlock; ++b) {
+          const float detour = ra[b] + rc[b];
+          any |= (detour < dac) & (detour > 0.0f);
+        }
+        v += any ? 1 : 0;
+      }
+    }
+    scanned.fetch_add(s, std::memory_order_relaxed);
+    violating.fetch_add(v, std::memory_order_relaxed);
+  });
+  return scanned.load() == 0 ? 0.0
+                             : static_cast<double>(violating.load()) /
+                                   static_cast<double>(scanned.load());
 }
 
 }  // namespace
@@ -107,11 +156,14 @@ int bench_main(int argc, char** argv) {
   json.meta(cfg)
       .field("missing_fraction", missing, 3)
       .field_bool("quick", quick)
+      .field("ratio_kernel", std::string(tiv::core::kWitnessRatioKernel))
       .field("max_n", sizes.back());
   for (const HostId n : sizes) {
     const DelayMatrix m = random_matrix(n, missing, seed);
     const TivAnalyzer analyzer(m);
     const int reps = n >= 2048 ? 2 : 3;
+    tiv::set_parallel_thread_count(0);  // untimed: every core
+    const double block_share = violating_block_share(DelayMatrixView(m));
 
     // Scalar baseline is always single-threaded: it is the seed kernel's
     // per-core cost, the denominator of every speedup below.
@@ -156,7 +208,8 @@ int bench_main(int argc, char** argv) {
           .field_sig("gops_per_s", secs > 0 ? witness_ops / secs / 1e9 : 0.0,
                      4)
           .field_sig("gb_per_s", secs > 0 ? bytes_touched / secs / 1e9 : 0.0,
-                     4);
+                     4)
+          .field("violating_block_share", block_share, 4);
     }
   }
   tiv::set_parallel_thread_count(0);

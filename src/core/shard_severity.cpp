@@ -136,6 +136,25 @@ void rebuild_sink_tile(const TileStore& store, TileCache& cache,
                              finish);
 }
 
+void rebuild_sink_bands(const TileStore& store, TileCache& cache,
+                        sink::SeverityTileStore& sink,
+                        std::span<const std::uint32_t> bands) {
+  check_sink_matches(store, sink);
+  const std::uint32_t T = store.tile_dim();
+  std::vector<HostId> hosts;
+  for (const std::uint32_t b : bands) {
+    if (b >= store.tiles_per_side()) {
+      throw std::invalid_argument("rebuild_sink_bands: band out of range");
+    }
+    for (std::uint32_t l = 0; l < store.band_rows(b); ++l) {
+      hosts.push_back(b * T + l);
+    }
+  }
+  run_band_pairs<RatioKernel>(StoreSource(store, cache),
+                              DirtyPairs(store.size(), T, hosts),
+                              SinkFinish(sink, true));
+}
+
 SinkRepairStats repair_severities_to_sink(
     const TileStore& store, TileCache& cache, sink::SeverityTileStore& sink,
     std::span<const HostId> dirty_hosts) {

@@ -75,6 +75,18 @@ void rebuild_sink_tile(const shard::TileStore& store, shard::TileCache& cache,
                        sink::SeverityTileStore& sink, std::uint32_t bi,
                        std::uint32_t bj);
 
+/// Recomputes every sink tile in a row or column of `bands` (each below
+/// tiles_per_side) from scratch and commits it: the dirty-pair driver with
+/// every host of those bands dirty, on the pool. Under that selection each
+/// selected tile is covered completely, so tiles are composed from zeros
+/// without reading the committed (possibly torn) ones and are bit-identical
+/// to what a full build writes. Crash recovery's replay of a torn epoch.
+/// Throws std::invalid_argument for a band out of range.
+void rebuild_sink_bands(const shard::TileStore& store,
+                        shard::TileCache& cache,
+                        sink::SeverityTileStore& sink,
+                        std::span<const std::uint32_t> bands);
+
 /// Exact violating-triangle fraction, streamed. Matches
 /// TivAnalyzer::violating_triangle_fraction(0) bit for bit (the reduction
 /// is integer counting; the final division is the same arithmetic).

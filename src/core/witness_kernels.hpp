@@ -1,21 +1,25 @@
-// Branch-free witness-scan primitives: the lanes of the band-pair severity
-// driver (band_pair_driver.hpp, every whole-matrix and dirty-epoch path)
-// and of the per-edge batches (severity.cpp).
+// Witness-scan primitives: the lanes of the band-pair severity driver
+// (band_pair_driver.hpp, every whole-matrix and dirty-epoch path) and of
+// the per-edge batches (severity.cpp).
 //
 // All functions scan packed-view data: missing entries are
 // DelayMatrixView::kMaskedDelay (huge), the diagonal is 0, so missing-leg
 // and self-witness exclusions are implicit (see delay_matrix.hpp). The
-// loop bodies are pure arithmetic + compares and auto-vectorize.
+// loop bodies are pure arithmetic + compares and auto-vectorize, except
+// the ratio scan on AVX-512 builds, which is written with intrinsics.
 //
 // The ratio accumulation is split into accumulate + reduce so a caller can
 // feed witnesses in column chunks: kWitnessLanes independent accumulators,
 // lane l taking columns b with b % kWitnessLanes == l. As long as chunks
-// are multiples of kWitnessLanes and arrive in ascending column order, the
+// are multiples of kWitnessBlock and arrive in ascending column order, the
 // per-lane addition sequences — and therefore the reduced double — are
 // bit-identical whether the scan ran over one contiguous row or over tiles
-// streamed from disk. Masked/padding columns contribute exactly +0.0,
-// which is an exact no-op on the non-negative partial sums, so differing
-// amounts of tail padding between the two paths cannot change the result.
+// streamed from disk. Masked/padding columns contribute nothing: the dense
+// scan adds exactly +0.0, an exact no-op on the non-negative partial sums,
+// and the block-sparse AVX-512 scan skips them, so differing amounts of
+// tail padding between the two paths cannot change the result, and the two
+// scans agree bit for bit (docs/PERFORMANCE.md, "Block-sparse ratio
+// kernel").
 #pragma once
 
 #include <bit>
@@ -44,34 +48,61 @@ inline double witness_ratio(float dac, float detour) {
 /// tile width that is a multiple of the lane count preserve lane phase.
 inline constexpr std::size_t kWitnessLanes = 8;
 
-/// Adds to acc[kWitnessLanes] the triangulation ratios d_ac / (d_ab + d_bc)
-/// of violating witnesses (detour < d_ac, detour > 0) in columns
-/// [0, len) of packed rows ra/rc. len must be a multiple of kWitnessLanes.
-/// Lane phase follows the caller's global column offset: pass rows whose
-/// column 0 is a multiple of kWitnessLanes globally.
+/// Columns per block of the block-sparse ratio kernel: one 512-bit vector
+/// of floats. Every ratio caller scans whole blocks (the view stride and
+/// tile_dim are multiples of DelayMatrixView::kLaneFloats == 16).
+inline constexpr std::size_t kWitnessBlock = 16;
+
+/// Which witness_ratio_accumulate this build compiled (bench metadata).
+#if defined(__AVX512F__)
+inline constexpr const char* kWitnessRatioKernel = "avx512_block_sparse";
+#else
+inline constexpr const char* kWitnessRatioKernel = "dense";
+#endif
+
+/// The dense ratio scan: adds to acc[kWitnessLanes] the triangulation
+/// ratios d_ac / (d_ab + d_bc) of violating witnesses (detour < d_ac,
+/// detour > 0) in columns [0, len) of packed rows ra/rc, dividing on every
+/// lane and adding +0.0 for the witnesses that do not violate. len must be
+/// a multiple of kWitnessLanes. Lane phase follows the caller's global
+/// column offset: pass rows whose column 0 is a multiple of kWitnessLanes
+/// globally. The only path on builds without AVX-512, and the reference
+/// the block-sparse kernel is tested against bit for bit.
 ///
-/// Never inlined: inlined into the band-pair driver's loops, GCC 12
-/// vectorizes this scan in some instantiations and emits eight scalar
-/// divisions in others (up to 10x slower); on its own it is always one
-/// vector loop with the lanes in registers.
-[[gnu::noinline]] inline void witness_ratio_accumulate(const float* ra,
-                                                       const float* rc,
-                                                       std::size_t len,
-                                                       float dac,
-                                                       double* acc) {
-  for (std::size_t b = 0; b < len; b += kWitnessLanes) {
-    for (std::size_t l = 0; l < kWitnessLanes; ++l) {
-      const float detour = ra[b + l] + rc[b + l];
-      const bool violates = (detour < dac) & (detour > 0.0f);
-      // Unconditional division with a blended-safe divisor: cheaper than a
-      // branch per witness and keeps the loop if-convertible. The term is
-      // witness_ratio, so it is bit-identical to the scalar oracles' term
-      // (only the summation order differs).
-      const double ratio = witness_ratio(dac, violates ? detour : 1.0f);
-      acc[l] += violates ? ratio : 0.0;
-    }
-  }
-}
+/// Both ratio scans are defined once, in witness_kernels.cpp, so every
+/// caller runs the copy compiled with tiv_core's value-safe FP flags
+/// (without -fno-trapping-math GCC keeps the conditional division scalar,
+/// and an inline copy instantiated outside the library could be the one
+/// the linker keeps), and never inlined: inlined into the band-pair
+/// driver's loops, GCC 12 vectorizes the dense scan in some instantiations
+/// and emits eight scalar divisions in others (up to 10x slower).
+[[gnu::noinline]] void witness_ratio_accumulate_dense(const float* ra,
+                                                      const float* rc,
+                                                      std::size_t len,
+                                                      float dac, double* acc);
+
+/// The ratio scan every severity path calls: the same sums as
+/// witness_ratio_accumulate_dense, bit for bit, for acc entries that are
+/// not -0.0 (the severity paths start from +0.0 and add only positive
+/// terms). Precondition: len % kWitnessBlock == 0, column 0 lane-aligned
+/// globally. Without AVX-512 it is the dense scan. With AVX-512 it divides
+/// only in the 16-column blocks that hold a violator (calls shorter than 8
+/// blocks, where that does not pay, run the dense scan).
+///
+/// The dense scan is divider-bound, yet only a few percent of witnesses
+/// violate and most blocks hold none. So each run of up to 64 blocks is
+/// scanned twice. Pass 1 only adds and compares, and sets bit j of a
+/// register-held word when block j holds a violator. Pass 2 walks the set
+/// bits in ascending order and, per set block, computes witness_ratio's
+/// float division, widens it, and adds the low 8 and then the high 8 terms
+/// into the 8 lane accumulators with masked adds. Every lane thus receives
+/// exactly the dense scan's violating terms in the same order; a masked-off
+/// lane keeps its value, which equals the dense `acc + 0.0` for any acc
+/// but -0.0.
+[[gnu::noinline]] void witness_ratio_accumulate(const float* ra,
+                                                const float* rc,
+                                                std::size_t len, float dac,
+                                                double* acc);
 
 /// Fixed pairwise reduction of the lane accumulators. Deterministic order;
 /// every caller must use this (not a left-to-right sum) so partial-sum

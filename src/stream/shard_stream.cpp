@@ -166,20 +166,19 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag,
   // Torn epoch: only the epoch's tiles are suspect. Re-repack every input
   // tile it names from the post-epoch matrix (idempotent for the ones that
   // did land), then rebuild every sink tile it names from the
-  // now-consistent input store — the full-build one-tile driver, so each
-  // converges to exactly the bytes the completed epoch would have written.
+  // now-consistent input store, on the pool and without reading them, so
+  // each converges to exactly the bytes the completed epoch would have
+  // written.
   const EpochTiles torn = epoch_tiles(bands, tiles);
   for (const auto& [r, c] : torn.input) {
     input_->repack_tile(matrix, r, c);
     input_cache_->invalidate(r, c);
   }
-  for (const auto& [r, c] : torn.sink) {
-    with_recovery([&, r = r, c = c] {
-      core::rebuild_sink_tile(*input_, *input_cache_, *sink_, r, c);
-      return 0;
-    });
-    sink_cache_->invalidate(r, c);
-  }
+  with_recovery([&] {
+    core::rebuild_sink_bands(*input_, *input_cache_, *sink_, bands);
+    return 0;
+  });
+  for (const auto& [r, c] : torn.sink) sink_cache_->invalidate(r, c);
   EpochManifest::clear(journal);
   epochs_applied_ = manifest->generation;
   recovery_.torn_epochs_replayed.increment();

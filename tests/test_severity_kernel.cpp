@@ -145,6 +145,111 @@ TEST(SeverityKernel, SampledSeveritiesAreDistinct) {
   }
 }
 
+// Differential test of witness_ratio_accumulate (block-sparse on AVX-512
+// builds) against the dense reference scan: the lane accumulators must
+// match bit for bit, whether the row is scanned in one call or fed in
+// ascending chunks with the accumulators carried across calls (the
+// StoreSource pattern).
+enum class Violators { kNone, kAll, kSparse, kClustered, kSpecial };
+
+struct RatioCase {
+  std::vector<float> ra, rc;
+  float dac = 0.0f;
+  double acc[kWitnessLanes] = {};
+};
+
+RatioCase make_ratio_case(Rng& rng, std::size_t len, Violators kind) {
+  RatioCase c;
+  c.dac = static_cast<float>(rng.uniform(1.0, 300.0));
+  const auto leg = [&](double lo, double hi) {
+    return static_cast<float>(c.dac * rng.uniform(lo, hi));
+  };
+  const auto tiny_leg = [&] {
+    return static_cast<float>(c.dac * 0.45 *
+                              std::pow(10.0, -rng.uniform(0.0, 6.0)));
+  };
+  std::size_t run = 0;  // kClustered: columns left in the current run
+  for (std::size_t b = 0; b < len; ++b) {
+    bool violates = false;
+    switch (kind) {
+      case Violators::kNone: break;
+      case Violators::kAll: violates = true; break;
+      case Violators::kSparse: violates = rng.bernoulli(0.02); break;
+      case Violators::kClustered:
+        if (run == 0 && rng.bernoulli(0.01)) run = 1 + rng.uniform_index(40);
+        violates = run != 0;
+        run -= run != 0;
+        break;
+      case Violators::kSpecial: violates = rng.bernoulli(0.1); break;
+    }
+    // Violating legs sum to at most 0.9 dac, others to at least dac. The
+    // violating ones are log-uniform over six decades, so the terms span
+    // ~20 binades and the double sums round: a change in the order of the
+    // additions shows up in the low bits.
+    float a = violates ? tiny_leg() : leg(0.5, 2.0);
+    float d = violates ? tiny_leg() : leg(0.5, 2.0);
+    if (kind == Violators::kSpecial && !violates) {
+      switch (rng.uniform_index(4)) {
+        case 0: a = d = 0.5f * c.dac; break;  // detour == dac exactly
+        case 1: a = d = 0.0f; break;          // zero detour
+        case 2: a = DelayMatrixView::kMaskedDelay; break;
+        default: d = DelayMatrixView::kMaskedDelay; break;
+      }
+    }
+    c.ra.push_back(a);
+    c.rc.push_back(d);
+  }
+  if (rng.bernoulli(0.5)) {
+    for (double& x : c.acc) x = rng.uniform(0.0, 100.0);
+  }
+  return c;
+}
+
+TEST(WitnessRatioKernel, MatchesDenseScanBitForBit) {
+  Rng rng(2024);
+  std::vector<std::size_t> lens = {16, 32, 1008, 1024, 1040, 8192};
+  for (int i = 0; i < 24; ++i) {
+    lens.push_back(16 * (1 + rng.uniform_index(512)));
+  }
+  // 64 is the default tile_dim and 48 another valid one; calls shorter
+  // than 128 columns run the dense scan, and 1024 is one bit word.
+  const std::size_t chunks[] = {16, 48, 64, 128, 1024};
+  for (const std::size_t len : lens) {
+    ASSERT_EQ(len % kWitnessBlock, 0u) << "the kernel's precondition";
+    for (const Violators kind :
+         {Violators::kNone, Violators::kAll, Violators::kSparse,
+          Violators::kClustered, Violators::kSpecial}) {
+      const RatioCase c = make_ratio_case(rng, len, kind);
+      const auto where = ::testing::Message() << "len " << len << " kind "
+                                              << static_cast<int>(kind);
+      double want[kWitnessLanes];
+      std::memcpy(want, c.acc, sizeof want);
+      witness_ratio_accumulate_dense(c.ra.data(), c.rc.data(), len, c.dac,
+                                     want);
+      if (kind == Violators::kNone) {
+        EXPECT_EQ(std::memcmp(want, c.acc, sizeof want), 0) << where;
+      } else if (kind == Violators::kAll) {
+        for (std::size_t l = 0; l < kWitnessLanes; ++l) {
+          EXPECT_GT(want[l], c.acc[l]) << where;
+        }
+      }
+      double got[kWitnessLanes];
+      std::memcpy(got, c.acc, sizeof got);
+      witness_ratio_accumulate(c.ra.data(), c.rc.data(), len, c.dac, got);
+      EXPECT_EQ(std::memcmp(got, want, sizeof got), 0) << where;
+      for (const std::size_t chunk : chunks) {
+        std::memcpy(got, c.acc, sizeof got);
+        for (std::size_t b = 0; b < len; b += chunk) {
+          witness_ratio_accumulate(c.ra.data() + b, c.rc.data() + b,
+                                   std::min(chunk, len - b), c.dac, got);
+        }
+        EXPECT_EQ(std::memcmp(got, want, sizeof got), 0)
+            << where << " chunk " << chunk;
+      }
+    }
+  }
+}
+
 TEST(DelayMatrixViewTest, PackingAndMask) {
   DelayMatrix m(5);
   m.set(0, 1, 5.0f);

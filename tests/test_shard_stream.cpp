@@ -217,6 +217,65 @@ TEST(SinkSeverity, GeometryMismatchRejected) {
   std::filesystem::remove(out_path);
 }
 
+TEST(SinkSeverity, RebuildBandsRewritesTornTilesWithoutReadingThem) {
+  // Crash recovery's sink replay: every tile in a row or column of the
+  // listed bands is composed from scratch on the pool and written whole,
+  // so torn (checksum-failing) tiles there are never read, and tiles
+  // outside the bands are never touched.
+  const DelayMatrix m = random_matrix(70, 0.2, 35);  // 5 bands of 16
+  const std::string in_path = scratch_path("rebuild_bands_in");
+  const std::string out_path = scratch_path("rebuild_bands_out");
+  shard::TileStore::write_matrix(in_path, m, 16);
+  const auto store = shard::TileStore::open(in_path);
+  shard::TileCache cache(store, std::size_t{1} << 20);
+  SeverityTileStore::create(out_path, m.size(), 16);
+  auto sink = SeverityTileStore::open(out_path, /*writable=*/true);
+  core::all_severities_to_sink(store, cache, sink);
+
+  const std::vector<std::uint32_t> bands = {1, 3};
+  const auto in_bands = [&](std::uint32_t i, std::uint32_t j) {
+    return i == 1 || i == 3 || j == 1 || j == 3;
+  };
+  const std::uint32_t tiles = sink.tiles_per_side();
+  for (std::uint32_t i = 0; i < tiles; ++i) {
+    for (std::uint32_t j = i; j < tiles; ++j) {
+      if (in_bands(i, j) || (i == 0 && j == 0)) {
+        corrupt_byte_at(out_path, static_cast<long>(sink.tile_offset(i, j)));
+      }
+    }
+  }
+  EXPECT_THROW(core::rebuild_sink_bands(store, cache, sink,
+                                        std::vector<std::uint32_t>{5}),
+               std::invalid_argument);
+  set_parallel_thread_count(4);
+  core::rebuild_sink_bands(store, cache, sink, bands);
+  set_parallel_thread_count(0);
+
+  const SeverityMatrix want = TivAnalyzer(m).all_severities();
+  std::vector<float> tile(sink.payload_floats());
+  std::size_t rebuilt = 0;
+  for (std::uint32_t i = 0; i < tiles; ++i) {
+    for (std::uint32_t j = i; j < tiles; ++j) {
+      if (!in_bands(i, j)) continue;
+      sink.read_tile(i, j, tile.data());
+      ++rebuilt;
+      for (std::uint32_t al = 0; al < sink.band_rows(i); ++al) {
+        for (std::uint32_t cl = 0; cl < sink.band_rows(j); ++cl) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(tile[al * 16 + cl]),
+                    std::bit_cast<std::uint32_t>(
+                        want.at(i * 16 + al, j * 16 + cl)))
+              << "tile (" << i << ", " << j << ") cell (" << al << ", "
+              << cl << ")";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rebuilt, 9u);  // 15 tiles, 6 within bands {0, 2, 4}
+  EXPECT_THROW(sink.read_tile(0, 0, tile.data()), CorruptTileError);
+  std::filesystem::remove(in_path);
+  std::filesystem::remove(out_path);
+}
+
 // --- ShardStreamEngine: the bit-identity contract ---------------------------
 
 /// Replays randomized epochs through one DelayStream feeding BOTH streaming
