@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/severity.hpp"
 #include "delayspace/datasets.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "obs/metrics.hpp"
@@ -347,6 +349,20 @@ inline delayspace::DelayMatrix random_matrix(delayspace::HostId n,
     }
   }
   return m;
+}
+
+/// Cells a < b whose float bits differ between two severity matrices of the
+/// same size (0 = bit-identical).
+inline std::size_t severity_bit_mismatches(const core::SeverityMatrix& got,
+                                           const core::SeverityMatrix& want) {
+  std::size_t bad = 0;
+  for (delayspace::HostId a = 0; a < got.size(); ++a) {
+    for (delayspace::HostId b = a + 1; b < got.size(); ++b) {
+      bad += std::bit_cast<std::uint32_t>(got.at(a, b)) !=
+             std::bit_cast<std::uint32_t>(want.at(a, b));
+    }
+  }
+  return bad;
 }
 
 /// Wall time of one invocation of fn, in milliseconds.

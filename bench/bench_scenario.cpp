@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/shard_severity.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenario/generators.hpp"
@@ -167,18 +168,13 @@ int bench_main(int argc, char** argv) {
   const std::string trace_dir = flags.get_string("trace-dir", "");
   tiv::reject_unknown_flags(flags);
 
-  // Same pinned-working-set budget floor as bench_shard_stream: the
-  // band-pair drivers pin <= 3 input tiles per worker plus one prefetch,
-  // sink reads pin one tile per reader.
-  const std::size_t in_tile_bytes =
-      static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float) +
-      static_cast<std::size_t>(tile_dim) * ((tile_dim + 63) / 64) *
-          sizeof(std::uint64_t);
+  // Budgets floored at the pinned working sets, as in bench_shard_stream:
+  // the band-pair driver's (core::pinned_input_floor) and one sink tile
+  // per reader.
   const std::size_t out_tile_bytes =
       static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float);
   const std::size_t input_budget = std::max<std::size_t>(
-      std::size_t{256} << 10,
-      (3 * tiv::parallel_thread_count() + 2) * in_tile_bytes);
+      std::size_t{256} << 10, tiv::core::pinned_input_floor(tile_dim));
   const std::size_t output_budget = std::max<std::size_t>(
       std::size_t{128} << 10,
       (tiv::parallel_thread_count() + 1) * out_tile_bytes);

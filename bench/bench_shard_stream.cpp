@@ -3,16 +3,21 @@
 // the on-disk sink) vs the full out-of-core rebuild (fresh input spill +
 // all_severities_to_sink), under small input/output cache budgets.
 //
-// One JSON record per churn point (bench_common JsonArrayWriter), each
-// carrying the acceptance properties CI asserts:
-//   bit_mismatches       engine severities read back through the sink
-//                        cache vs the in-memory all_severities of the
-//                        final mutated matrix — must be 0
-//   peak_within_budget   both tile caches' peak bytes stayed within their
+// One JSON record per churn point (section "shard_churn"), then one
+// streamed full build (section "shard_full_build"), each carrying the
+// acceptance properties CI asserts:
+//   bit_mismatches       churn: engine severities read back through the
+//                        sink cache vs the in-memory all_severities of the
+//                        final mutated matrix; full build:
+//                        all_severities_streamed vs all_severities — must
+//                        be 0
+//   peak_within_budget   the tile caches' peak bytes stayed within their
 //                        configured budgets
 // plus the repair-vs-rebuild timings whose speedup docs/PERFORMANCE.md
-// quotes. Exit status is nonzero when a property fails, so a smoke run
-// turns CI red on its own.
+// quotes. The full build runs under an input budget of a quarter of the
+// packed view (floored at the pinned working set), so its cache evicts.
+// Exit status is nonzero when a property fails, so a smoke run turns CI
+// red on its own.
 //
 // Apply-path timings come from the span tracer (docs/OBSERVABILITY.md) —
 // the per-record repair_epoch_ms is the mean "epoch" span, with the
@@ -53,6 +58,7 @@
 #include "bench_common.hpp"
 #include "core/severity.hpp"
 #include "core/shard_severity.hpp"
+#include "delayspace/delay_matrix.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
@@ -78,6 +84,7 @@ using tiv::stream::ShardStreamConfig;
 using tiv::stream::ShardStreamEngine;
 
 using tiv::bench::random_matrix;
+using tiv::bench::severity_bit_mismatches;
 using tiv::bench::time_ms;
 
 /// One epoch of churn: `hosts` distinct hosts paired off into disjoint
@@ -142,18 +149,13 @@ int bench_main(int argc, char** argv) {
   tiv::reject_unknown_flags(flags);
 
   // Floor the budgets at the pinned working sets so a many-core pool
-  // cannot overshoot through pins alone (same rationale as
-  // bench_shard_severity): the band-pair drivers pin <= 3 input tiles per
-  // worker plus one prefetch; sink reads pin one tile per reader.
-  const std::size_t in_tile_bytes =
-      static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float) +
-      static_cast<std::size_t>(tile_dim) * ((tile_dim + 63) / 64) *
-          sizeof(std::uint64_t);
+  // cannot overshoot through pins alone (pinned tiles are never evicted):
+  // the band-pair driver's (core::pinned_input_floor) and one sink tile
+  // per reader. The reported budgets are the effective values.
+  const std::size_t input_floor = tiv::core::pinned_input_floor(tile_dim);
   const std::size_t out_tile_bytes =
       static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float);
-  const std::size_t input_budget =
-      std::max(input_budget_flag,
-               (3 * tiv::parallel_thread_count() + 2) * in_tile_bytes);
+  const std::size_t input_budget = std::max(input_budget_flag, input_floor);
   const std::size_t output_budget =
       std::max(output_budget_flag,
                (tiv::parallel_thread_count() + 1) * out_tile_bytes);
@@ -284,6 +286,45 @@ int bench_main(int argc, char** argv) {
           .field("output_tile_misses", out_stats.misses)
           .field("output_evictions", out_stats.evictions)
           .field("output_peak_bytes", out_stats.peak_bytes)
+          .field_bool("peak_within_budget", within_budget)
+          .field("bit_mismatches", mismatches);
+    }
+    {
+      // Streamed full build under a budget below the packed view: every
+      // tile streams through an evicting cache.
+      const DelayMatrix m = random_matrix(n, missing, seed);
+      const std::size_t view_bytes =
+          tiv::delayspace::DelayMatrixView::bytes_for(n);
+      const std::size_t budget = std::max(view_bytes / 4, input_floor);
+      const std::string path = scratch_file(dir, "full_build");
+      tiv::shard::TileStore::write_matrix(path, m, tile_dim);
+      const auto store = tiv::shard::TileStore::open(path);
+      tiv::shard::TileCache cache(store, budget);
+      SeverityMatrix streamed;
+      const double streamed_ms = time_ms(
+          [&] { streamed = tiv::core::all_severities_streamed(store, cache); });
+      std::filesystem::remove(path);
+      SeverityMatrix in_memory;
+      const double in_memory_ms =
+          time_ms([&] { in_memory = TivAnalyzer(m).all_severities(); });
+      const std::size_t mismatches =
+          severity_bit_mismatches(streamed, in_memory);
+      const auto stats = cache.stats();
+      const bool within_budget = stats.peak_bytes <= budget;
+      ok = ok && mismatches == 0 && within_budget;
+      json.object()
+          .field("section", std::string("shard_full_build"))
+          .field("n", n)
+          .field("tile_dim", tile_dim)
+          .field("missing_fraction", missing, 3)
+          .field("view_bytes", view_bytes)
+          .field("input_budget_bytes", budget)
+          .field("streamed_ms", streamed_ms, 3)
+          .field("in_memory_ms", in_memory_ms, 3)
+          .field("input_tile_hits", stats.hits)
+          .field("input_tile_misses", stats.misses)
+          .field("input_evictions", stats.evictions)
+          .field("input_peak_bytes", stats.peak_bytes)
           .field_bool("peak_within_budget", within_budget)
           .field("bit_mismatches", mismatches);
     }

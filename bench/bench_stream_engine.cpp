@@ -24,7 +24,6 @@
 //   --epochs=E     epochs per churn point (default 4)
 //   --seed=S       RNG seed
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <iostream>
 #include <optional>
@@ -52,22 +51,8 @@ using tiv::stream::IncrementalSeverity;
 using tiv::stream::SmoothingPolicy;
 
 using tiv::bench::random_matrix;
+using tiv::bench::severity_bit_mismatches;
 using tiv::bench::time_ms;
-
-/// Cells whose float bits differ between the maintained and the rebuilt
-/// severity matrix (0 = bit-identical).
-std::size_t bit_mismatches(const SeverityMatrix& got,
-                           const SeverityMatrix& want) {
-  std::size_t bad = 0;
-  const HostId n = got.size();
-  for (HostId i = 0; i < n; ++i) {
-    for (HostId j = i + 1; j < n; ++j) {
-      bad += std::bit_cast<std::uint32_t>(got.at(i, j)) !=
-             std::bit_cast<std::uint32_t>(want.at(i, j));
-    }
-  }
-  return bad;
-}
 
 SmoothingPolicy parse_policy(const std::string& name) {
   if (name == "latest") return SmoothingPolicy::kLatest;
@@ -152,7 +137,8 @@ int bench_main(int argc, char** argv) {
     SeverityMatrix full;
     const TivAnalyzer analyzer(stream.matrix());
     const double full_ms = time_ms([&] { full = analyzer.all_severities(); });
-    const std::size_t mismatches = bit_mismatches(inc->severities(), full);
+    const std::size_t mismatches =
+        severity_bit_mismatches(inc->severities(), full);
 
     const double inc_epoch_ms = apply_ms / epochs;
     json.object()
@@ -238,7 +224,8 @@ int bench_main(int argc, char** argv) {
                    ? full_ms / (apply_ms / osc_epochs)
                    : 0.0,
                2)
-        .field("bit_mismatches", bit_mismatches(inc.severities(), full));
+        .field("bit_mismatches",
+               severity_bit_mismatches(inc.severities(), full));
   }
   return 0;
 }

@@ -60,6 +60,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/shard_severity.hpp"
 #include "delayspace/datasets.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
@@ -200,17 +201,16 @@ int monitor_main(int argc, char** argv) {
 
   // Deliberately tiny budgets: a dozen input tiles and half a dozen
   // severity tiles — far below the full tile grids — so every round
-  // genuinely streams from disk. Floored at the pinned working set
-  // (3 input tiles per band-pair worker + one prefetch; one output tile
-  // per worker) so the within-budget claim below holds on many-core hosts
-  // too, where pinned tiles alone would exceed a fixed 12-tile budget.
+  // genuinely streams from disk. Floored at the pinned working sets (the
+  // band-pair driver's, core::pinned_input_floor; one output tile per
+  // worker) so the within-budget claim below holds on many-core hosts too,
+  // where pinned tiles alone would exceed a fixed 12-tile budget.
   stream::ShardStreamConfig cfg;
   cfg.tile_dim = 32;
-  const std::size_t in_tile =
-      std::size_t{32} * 32 * sizeof(float) + std::size_t{32} * sizeof(std::uint64_t);
   const std::size_t out_tile = std::size_t{32} * 32 * sizeof(float);
   cfg.input_budget_bytes =
-      std::max(std::size_t{12}, 3 * parallel_thread_count() + 2) * in_tile;
+      std::max(12 * shard::TileStore::tile_bytes_for(cfg.tile_dim),
+               core::pinned_input_floor(cfg.tile_dim));
   cfg.output_budget_bytes =
       std::max(std::size_t{6}, parallel_thread_count() + 1) * out_tile;
   stream::ShardStreamEngine monitor(live.matrix(), cfg);

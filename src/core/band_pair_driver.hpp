@@ -7,12 +7,13 @@
 // (I, J), I <= J, are dynamically scheduled, row-major in the band triangle
 // so consecutive pairs share band I. Per band pair the driver selects the
 // pairs (a < c), split by d_ac into measured and unmeasured; walks witness
-// bands K in ascending column order, prefetching K + 1, feeding each
-// measured pair's kernel; and calls the finish. The strategies are template
-// parameters, so nothing virtual runs in the lane loop:
+// bands K in ascending column order, feeding each measured pair's kernel;
+// and calls the finish. The strategies are template parameters, so nothing
+// virtual runs in the lane loop:
 //   Source     ViewSource (in-memory view: 16-row bands, ONE witness band
 //              spanning the padded stride, no I/O) or shard_severity.cpp's
-//              StoreSource (TileStore + TileCache, tile_dim bands).
+//              StoreSource (TileStore + TileCache, tile_dim bands, tiles
+//              read on demand by the worker that needs them).
 //   Selection  AllPairs or DirtyPairs.
 //   Kernel     RatioKernel or CountKernel.
 //   Finish     MatrixFinish, TriangleCountFinish or the sink finish.
@@ -111,7 +112,6 @@ class ViewSource {
   Block witnesses(std::uint32_t b, std::uint32_t /*k == 0*/) const {
     return {&view_, b * kBandRows, 0};
   }
-  void prefetch(std::uint32_t, std::uint32_t, std::uint32_t) const {}
 
  private:
   const DelayMatrixView& view_;
@@ -253,9 +253,10 @@ std::size_t run_band_pair(const Source& src, const Selection& sel,
   }
   Kernel kernel(src.scan_len(), src.mask_len(), bp.measured.size());
   // Ascending k keeps each lane's additions in the monolithic scan order.
+  // The d_ac block above is already released, so a worker holds at most
+  // the two witness blocks of one k (pinned_input_floor sizes on this).
   const std::uint32_t kbands = bp.measured.empty() ? 0 : src.witness_bands();
   for (std::uint32_t k = 0; k < kbands; ++k) {
-    if (k + 1 < kbands) src.prefetch(bi, bj, k + 1);
     const auto ta = src.witnesses(bi, k);
     const auto tc = bj == bi ? ta : src.witnesses(bj, k);
     for (std::size_t t = 0; t < bp.measured.size(); ++t) {

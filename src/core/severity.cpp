@@ -26,28 +26,20 @@ void check_view_matches(const DelayMatrix& matrix,
   }
 }
 
-/// The skeleton of every edge_*_batch: view selection, the scalar fallback
-/// scalar(a, c), dynamic scheduling, and Out{} (all zero) for self and
-/// unmeasured edges. lane(view, a, c, d_ac) computes one measured edge with
-/// the branch-free kernels over the packed view.
-template <typename Out, typename Scalar, typename Lane>
+/// The skeleton of every edge_*_batch: view selection, dynamic scheduling,
+/// and Out{} (all zero) for self and unmeasured edges. lane(view, a, c,
+/// d_ac) computes one measured edge with the branch-free kernels over the
+/// packed view, so every batch matches the all_severities cells bit for bit.
+template <typename Out, typename Lane>
 std::vector<Out> edge_batch(const DelayMatrix& matrix,
                             std::span<const std::pair<HostId, HostId>> edges,
-                            const DelayMatrixView* view, Scalar&& scalar,
-                            Lane&& lane) {
+                            const DelayMatrixView* view, Lane&& lane) {
   std::vector<Out> out(edges.size());
-  // A caller's view is already paid for; a local O(N^2) build only when
-  // enough scans amortize it (edges * 4 >= N).
   std::optional<DelayMatrixView> local;
   if (view != nullptr) {
     check_view_matches(matrix, *view);
-  } else if (edges.size() * 4 >= matrix.size()) {
-    view = &local.emplace(matrix);
   } else {
-    parallel_for(edges.size(), [&](std::size_t e) {
-      out[e] = scalar(edges[e].first, edges[e].second);
-    });
-    return out;
+    view = &local.emplace(matrix);
   }
   const DelayMatrixView& v = *view;
   parallel_for_dynamic(
@@ -127,7 +119,6 @@ std::vector<EdgeTivStats> TivAnalyzer::edge_stats_batch(
   const auto nd = static_cast<double>(matrix_.size());
   return edge_batch<EdgeTivStats>(
       matrix_, edges, view,
-      [&](HostId a, HostId c) { return edge_stats(a, c); },
       [&](const DelayMatrixView& v, HostId a, HostId c, float d_ac) {
         // Two vectorized passes over the same L2-resident rows: the ratio
         // sum (the all_severities lanes) and the count/min-detour scan,
@@ -155,7 +146,6 @@ std::vector<std::size_t> TivAnalyzer::edge_violation_count_batch(
     const DelayMatrixView* view) const {
   return edge_batch<std::size_t>(
       matrix_, edges, view,
-      [&](HostId a, HostId c) { return edge_stats(a, c).violation_count; },
       [](const DelayMatrixView& v, HostId a, HostId c, float d_ac) {
         return witness_violation_minmax(v.row(a), v.row(c), v.stride(), d_ac)
             .count;
@@ -168,7 +158,6 @@ std::vector<double> TivAnalyzer::edge_severity_batch(
   const auto nd = static_cast<double>(matrix_.size());
   return edge_batch<double>(
       matrix_, edges, view,
-      [&](HostId a, HostId c) { return edge_severity(a, c); },
       [&](const DelayMatrixView& v, HostId a, HostId c, float d_ac) {
         return full_row_ratio_sum(v, a, c, d_ac) / nd;
       });

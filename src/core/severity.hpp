@@ -93,10 +93,9 @@ class TivAnalyzer {
   /// Pass `view` (a packed view of this analyzer's matrix) to skip the
   /// O(N^2) view build — figure drivers that make several batched calls
   /// should pack once and share it; a view of another size throws
-  /// std::invalid_argument. With view == nullptr a batch too small to
-  /// amortize a local build (edges * 4 < N) falls back to the scalar
-  /// per-edge scan, which computes identical counts and severities to
-  /// ~1e-15 relative (summation order only).
+  /// std::invalid_argument. With view == nullptr the batch packs one
+  /// locally, whatever its size: there is one scan path, so a batch of any
+  /// size is bit-identical to the all_severities cells.
   /// This is the sampled-edge path; whole-matrix and dirty-epoch
   /// severities go through the band-pair driver (all_severities).
   std::vector<EdgeTivStats> edge_stats_batch(

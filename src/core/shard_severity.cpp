@@ -17,8 +17,8 @@ using shard::TileRef;
 using shard::TileStore;
 
 /// The storage source: tile_dim bands, one witness band per tile column,
-/// tiles pinned through the cache, witness band k+1 prefetched on its
-/// background I/O thread. Rows are full tile width: padding adds +0.0.
+/// tiles read on demand and pinned through the cache. Rows are full tile
+/// width: padding adds +0.0.
 class StoreSource {
  public:
   struct Block {
@@ -45,10 +45,6 @@ class StoreSource {
   }
   Block witnesses(std::uint32_t b, std::uint32_t k) const {
     return {cache_.acquire(b, k)};
-  }
-  void prefetch(std::uint32_t bi, std::uint32_t bj, std::uint32_t k) const {
-    cache_.prefetch(bi, k);
-    if (bj != bi) cache_.prefetch(bj, k);
   }
 
  private:
@@ -109,6 +105,10 @@ void check_sink_matches(const TileStore& store,
 }
 
 }  // namespace
+
+std::size_t pinned_input_floor(std::uint32_t tile_dim, std::size_t threads) {
+  return 2 * threads * TileStore::tile_bytes_for(tile_dim);
+}
 
 SeverityMatrix all_severities_streamed(const TileStore& store,
                                        TileCache& cache) {

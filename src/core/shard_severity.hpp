@@ -19,14 +19,23 @@
 #include "shard/tile_cache.hpp"
 #include "shard/tile_store.hpp"
 #include "sink/severity_tile_store.hpp"
+#include "util/parallel.hpp"
 
 namespace tiv::core {
+
+/// Input-cache bytes the band-pair driver can pin at once on `threads`
+/// pool workers: two witness tiles each (a worker releases its d_ac tile
+/// before the witness walk). Pinned tiles cannot be evicted, so a
+/// TileCache budget at or above this floor keeps stats().peak_bytes within
+/// the budget for every streamed build, repair and rebuild below.
+std::size_t pinned_input_floor(std::uint32_t tile_dim,
+                               std::size_t threads = parallel_thread_count());
 
 /// All-edges severity matrix computed by streaming tiles of `store` through
 /// `cache`. Bit-identical to TivAnalyzer::all_severities on the matrix the
 /// store serialized. The band-pair loop is dynamically scheduled over the
-/// parallel pool; tile loads for the next witness band are prefetched on
-/// the cache's background I/O thread while the current band computes.
+/// parallel pool; each worker reads the tiles it needs on demand through
+/// `cache`.
 SeverityMatrix all_severities_streamed(const shard::TileStore& store,
                                        shard::TileCache& cache);
 

@@ -44,12 +44,11 @@ namespace tiv::shard {
 /// functional state (it drives eviction) and is always live.
 struct CacheStats {
   std::size_t hits = 0;
-  std::size_t misses = 0;       ///< tiles loaded from disk (incl. prefetch)
+  std::size_t misses = 0;       ///< tiles loaded from disk
   std::size_t evictions = 0;
   std::size_t invalidations = 0;  ///< resident tiles dropped by invalidate()
   std::size_t peak_bytes = 0;   ///< high-water mark of live tile bytes
   std::size_t current_bytes = 0;
-  std::size_t prefetch_drops = 0;  ///< hints shed by the background queue
 
   double hit_rate() const {
     const std::size_t total = hits + misses;
@@ -121,12 +120,6 @@ class LruTileCache {
       invalidations_.increment();
       return;
     }
-  }
-
-  /// True when `key` is resident or loading (the prefetch dedup check).
-  bool contains(std::uint64_t key) const {
-    std::lock_guard<std::mutex> lk(mutex_);
-    return map_.count(key) != 0;
   }
 
   std::size_t budget_bytes() const { return budget_; }

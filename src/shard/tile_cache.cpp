@@ -1,7 +1,6 @@
 #include "shard/tile_cache.hpp"
 
 #include <new>
-#include <utility>
 
 namespace tiv::shard {
 
@@ -18,10 +17,7 @@ TileCache::TileCache(const TileStore& store, std::size_t budget_bytes)
       // Footprint charged per resident tile: the serialized size. The
       // in-memory layout is identical (payload + mask words); allocator
       // slack is not modeled.
-      cache_(budget_bytes, store.tile_bytes(), "cache.input"),
-      drops_link_(obs::MetricsRegistry::instance().link(
-          "cache.input.prefetch_drops", obs::MetricsRegistry::Agg::kSum,
-          [this] { return prefetcher_.dropped(); })) {}
+      cache_(budget_bytes, store.tile_bytes(), "cache.input") {}
 
 TileRef TileCache::acquire(std::uint32_t r, std::uint32_t c) {
   return cache_.acquire(key(r, c), [&]() -> TileRef {
@@ -31,27 +27,6 @@ TileRef TileCache::acquire(std::uint32_t r, std::uint32_t c) {
     store_.read_tile(r, c, fresh->payload(), fresh->masks());
     return fresh;
   });
-}
-
-void TileCache::prefetch(std::uint32_t r, std::uint32_t c) {
-  if (cache_.contains(key(r, c))) return;  // resident or already loading
-  // acquire() on the I/O thread loads the tile and parks it in the map; the
-  // returned pin is dropped immediately. A failed load is swallowed — a
-  // prefetch is a hint, and the demand-path acquire() will surface the
-  // error if it persists (an uncaught throw here would terminate, since
-  // the queue's worker thread has no handler).
-  prefetcher_.enqueue([this, r, c] {
-    try {
-      acquire(r, c);
-    } catch (...) {
-    }
-  });
-}
-
-CacheStats TileCache::stats() const {
-  CacheStats s = cache_.stats();
-  s.prefetch_drops = prefetcher_.dropped();
-  return s;
 }
 
 }  // namespace tiv::shard

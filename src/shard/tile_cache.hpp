@@ -3,18 +3,16 @@
 // shared LruTileCache core (shard/lru_tile_cache.hpp), which owns the
 // concurrency model, stampede-free loads, pin-aware eviction, and the
 // budget-accounting invariant: peak bytes <= max(budget, largest
-// simultaneous pinned set). The streaming driver pins a handful of tiles
-// per thread, so any sane budget dominates and stats().peak_bytes stays
-// under it.
+// simultaneous pinned set). The band-pair driver pins at most two tiles
+// per pool worker (core::pinned_input_floor), so a budget at or above that
+// floor keeps stats().peak_bytes under it.
 //
-// What this layer adds on top of the core:
-//  - the Tile block itself (64-byte-aligned payload rows + mask words,
-//    ready for the branch-free witness kernels), and
-//  - prefetch riding the pool-friendly util/BackgroundQueue: hints are
-//    shed (not queued unboundedly, never blocking the compute thread)
-//    when the I/O worker falls behind, and drain_prefetch() is the
-//    quiesce point before TileStore::repack_tile rewrites tiles this
-//    cache maps.
+// What this layer adds on top of the core is the Tile block itself
+// (64-byte-aligned payload rows + mask words, ready for the branch-free
+// witness kernels). Tiles are read only on demand, by the thread that
+// acquires them: there is no background reader, so between band-pair
+// scans nothing touches the store and TileStore::repack_tile needs no
+// quiesce step before invalidate().
 #pragma once
 
 #include <cstddef>
@@ -24,7 +22,6 @@
 
 #include "shard/lru_tile_cache.hpp"
 #include "shard/tile_store.hpp"
-#include "util/background_queue.hpp"
 
 namespace tiv::shard {
 
@@ -76,28 +73,16 @@ class TileCache {
   /// blocks only when another thread is already loading the same tile.
   TileRef acquire(std::uint32_t r, std::uint32_t c);
 
-  /// Hints that tile (r, c) will be needed soon: loads it into the cache on
-  /// the background I/O thread. Never blocks; the hint is dropped when the
-  /// I/O worker is saturated or the tile is already resident/loading.
-  void prefetch(std::uint32_t r, std::uint32_t c);
-
-  /// Discards queued prefetch hints and waits out the in-flight one — the
-  /// quiesce point before TileStore::repack_tile rewrites tiles this cache
-  /// maps (a prefetch read racing the rewrite could otherwise publish a
-  /// torn tile or pin one across invalidate()).
-  void drain_prefetch() { prefetcher_.drain(); }
-
   /// Drops tile (r, c) from the cache so the next acquire re-reads it from
-  /// the store — the coherence hook for TileStore::repack_tile. Call after
-  /// drain_prefetch(); precondition: no outstanding TileRef pins the tile
-  /// (the streaming engine invalidates only between epochs, when no scan
-  /// is running).
+  /// the store — the coherence hook for TileStore::repack_tile.
+  /// Precondition: no outstanding TileRef pins the tile (the streaming
+  /// engine invalidates only between epochs, when no scan is running).
   void invalidate(std::uint32_t r, std::uint32_t c) {
     cache_.invalidate(key(r, c));
   }
 
   std::size_t budget_bytes() const { return cache_.budget_bytes(); }
-  CacheStats stats() const;
+  CacheStats stats() const { return cache_.stats(); }
 
  private:
   static std::uint64_t key(std::uint32_t r, std::uint32_t c) {
@@ -106,10 +91,6 @@ class TileCache {
 
   const TileStore& store_;
   LruTileCache<Tile> cache_;
-  BackgroundQueue prefetcher_{16};
-  // Declared after prefetcher_: the link's unlink-time probe reads
-  // prefetcher_.dropped(), so it must be destroyed first.
-  obs::MetricsRegistry::Link drops_link_;
 };
 
 }  // namespace tiv::shard

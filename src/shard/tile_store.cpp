@@ -10,17 +10,9 @@ namespace {
 
 using delayspace::DelayMatrixView;
 
-std::size_t store_tile_bytes(std::uint32_t tile_dim) {
-  const std::size_t payload_floats =
-      static_cast<std::size_t>(tile_dim) * tile_dim;
-  const std::size_t mask_words =
-      static_cast<std::size_t>(tile_dim) * ((tile_dim + 63) / 64);
-  return payload_floats * sizeof(float) + mask_words * sizeof(std::uint64_t);
-}
-
 constexpr TileFileParams kParams{"TIVSHRD3", 3, "TileStore",
-                                 TileIndexShape::kSquare, store_tile_bytes,
-                                 "shard.input"};
+                                 TileIndexShape::kSquare,
+                                 TileStore::tile_bytes_for, "shard.input"};
 
 /// Packs tile (tr, tc) of `m` into payload/masks — the single definition of
 /// a tile's bytes, shared by write_matrix and repack_tile so an in-place
@@ -48,6 +40,14 @@ void pack_tile(const DelayMatrix& m, std::uint32_t tile_dim, std::uint32_t tr,
 }
 
 }  // namespace
+
+std::size_t TileStore::tile_bytes_for(std::uint32_t tile_dim) {
+  const std::size_t payload_floats =
+      static_cast<std::size_t>(tile_dim) * tile_dim;
+  const std::size_t mask_words =
+      static_cast<std::size_t>(tile_dim) * ((tile_dim + 63) / 64);
+  return payload_floats * sizeof(float) + mask_words * sizeof(std::uint64_t);
+}
 
 void TileStore::write_matrix(const std::string& path, const DelayMatrix& m,
                              std::uint32_t tile_dim) {

@@ -91,6 +91,8 @@ class TileStore {
   }
   /// Serialized tile size (payload + masks), a multiple of 64 bytes.
   std::size_t tile_bytes() const { return file_.tile_bytes(); }
+  /// tile_bytes() of a store with this tile_dim.
+  static std::size_t tile_bytes_for(std::uint32_t tile_dim);
 
   /// Rows of tile-row band r that carry real matrix rows (tile_dim except
   /// for the last band).

@@ -315,11 +315,6 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
   } scope{*this, source_};
   source_ = &matrix;
 
-  // 0. Quiesce the prefetcher: hints left over from the previous band-pair
-  // scan must not read tiles concurrently with the repacks below (a racing
-  // read could pin a tile across invalidate(), or observe a torn write).
-  input_cache_->drain_prefetch();
-
   // 1. Journal the epoch's dirty bands before the first in-place write:
   // they fix the input tiles about to be repacked and the superset of sink
   // tiles that can hold a dirty edge. A kill anywhere past this point

@@ -178,12 +178,11 @@ void expect_batch_matches_scalar(const DelayMatrix& m) {
     // severity-only batch equals the stats batch bit for bit (same kernel
     // lanes, same reduction).
     EXPECT_EQ(severities[e], batch.severity);
-    // The self-building path (scalar fallback or local view, depending on
-    // batch size) must agree on counts exactly and severity to the same
-    // tolerance.
+    // The self-building path packs its own view: the same scan, bit for
+    // bit.
     EXPECT_EQ(self_built[e].violation_count, scalar.violation_count);
     EXPECT_EQ(self_built[e].witness_count, scalar.witness_count);
-    EXPECT_NEAR(self_built[e].severity, scalar.severity, tol);
+    EXPECT_EQ(self_built[e].severity, batch.severity);
   }
 }
 
@@ -222,6 +221,44 @@ TEST(EdgeStatsBatch, SeverityBitIdenticalToAllSeveritiesKernel) {
     EXPECT_EQ(static_cast<float>(batch[e]),
               sev.at(edges[e].first, edges[e].second))
         << "edge (" << edges[e].first << ", " << edges[e].second << ")";
+  }
+}
+
+TEST(EdgeStatsBatch, SmallBatchWithoutViewBitIdenticalToAllSeverities) {
+  // A batch far smaller than the matrix (edges * 4 < n), given no view,
+  // still runs the packed-view scan: every severity is bit for bit the
+  // prebuilt-view batch's double and the all_severities cell, and every
+  // count is the scalar count. Delays span twelve decades, so ratio terms
+  // span more exponents than a double holds and a sum in any other order
+  // (a sequential scalar scan) rounds differently.
+  DelayMatrix m(400);
+  Rng rng(38);
+  for (HostId i = 0; i < m.size(); ++i) {
+    for (HostId j = i + 1; j < m.size(); ++j) {
+      if (rng.bernoulli(0.2)) continue;
+      m.set(i, j, static_cast<float>(std::pow(10.0, rng.uniform(-6.0, 6.0))));
+    }
+  }
+  const TivAnalyzer analyzer(m);
+  const DelayMatrixView view(m);
+  const SeverityMatrix sev = analyzer.all_severities(&view);
+  const PairSample sample = sample_measured_pairs(m, 99, 9);
+  ASSERT_EQ(sample.achieved(), 99u);
+  ASSERT_LT(4 * sample.pairs.size(), m.size());
+  const auto with_view = analyzer.edge_severity_batch(sample.pairs, &view);
+  const auto severities = analyzer.edge_severity_batch(sample.pairs);
+  const auto stats = analyzer.edge_stats_batch(sample.pairs);
+  const auto counts = analyzer.edge_violation_count_batch(sample.pairs);
+  for (std::size_t e = 0; e < sample.pairs.size(); ++e) {
+    const auto [a, c] = sample.pairs[e];
+    SCOPED_TRACE(::testing::Message() << "edge (" << a << ", " << c << ")");
+    EXPECT_EQ(severities[e], with_view[e]);
+    EXPECT_EQ(static_cast<float>(severities[e]), sev.at(a, c));
+    EXPECT_EQ(stats[e].severity, severities[e]);
+    const EdgeTivStats scalar = analyzer.edge_stats(a, c);
+    EXPECT_EQ(stats[e].violation_count, scalar.violation_count);
+    EXPECT_EQ(stats[e].witness_count, scalar.witness_count);
+    EXPECT_EQ(counts[e], scalar.violation_count);
   }
 }
 

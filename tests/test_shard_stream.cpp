@@ -285,12 +285,12 @@ TEST(SinkSeverity, RebuildBandsRewritesTornTilesWithoutReadingThem) {
 /// rebuild, enforced by test_stream_engine) after every commit. Epochs mix
 /// value updates, measured<->missing toggles, and intra-epoch re-updates.
 void replay_and_check_engine(HostId n, double missing, std::uint32_t tile_dim,
-                             std::uint64_t seed, int epochs) {
-  // Pin the pool width: the peak-vs-budget assertions below only hold when
-  // the tight budgets dominate the pinned working set (3 input tiles per
-  // band-pair worker + one prefetch), which an unbounded many-core pool
-  // would exceed. Same pattern as test_tile_store's tiny-budget test.
-  set_parallel_thread_count(2);
+                             std::uint64_t seed, int epochs,
+                             std::size_t threads = 2, bool at_floor = false) {
+  // Pin the pool width: the peak-vs-budget assertions below hold only when
+  // the budgets are at or above the pinned working set, which grows with
+  // the number of band-pair workers.
+  set_parallel_thread_count(threads);
   DelayStream stream(random_matrix(n, missing, seed));
   IncrementalSeverity in_memory(stream.matrix());
 
@@ -300,16 +300,16 @@ void replay_and_check_engine(HostId n, double missing, std::uint32_t tile_dim,
                                 std::to_string(seed));
   cfg.sink_path = scratch_path("engine_out_n" + std::to_string(n) + "_s" +
                                std::to_string(seed));
-  // Tight-but-sane budgets: a handful of tiles each, far below the whole
-  // tile grid, above the 2-thread pinned working set (3*2 + 2 tiles in,
-  // one per worker out).
-  const std::size_t in_tile =
-      static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float) +
-      static_cast<std::size_t>(tile_dim) * ((tile_dim + 63) / 64) *
-          sizeof(std::uint64_t);
-  cfg.input_budget_bytes = 10 * in_tile;
-  cfg.output_budget_bytes =
-      4 * static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float);
+  // Tight budgets: a handful of tiles each, far below the whole tile grid.
+  // at_floor sets them exactly at the pinned working sets: the band-pair
+  // driver's input floor and one sink tile (readback pins one at a time).
+  const std::size_t in_tile = shard::TileStore::tile_bytes_for(tile_dim);
+  const std::size_t out_tile =
+      static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float);
+  const std::size_t input_floor = core::pinned_input_floor(tile_dim, threads);
+  cfg.input_budget_bytes = at_floor ? input_floor : 10 * in_tile;
+  cfg.output_budget_bytes = at_floor ? out_tile : 4 * out_tile;
+  ASSERT_GE(cfg.input_budget_bytes, input_floor);
   ShardStreamEngine engine(stream.matrix(), cfg);
 
   ASSERT_TRUE(engine_matches(engine, in_memory.severities()))
@@ -342,8 +342,8 @@ void replay_and_check_engine(HostId n, double missing, std::uint32_t tile_dim,
   }
 
   // The tracked working set stayed within the configured budgets (the
-  // readback loops pin one tile at a time; the band-pair drivers pin a
-  // handful per worker — both dominated by these budgets).
+  // readback loops pin one tile at a time; the band-pair driver pins two
+  // per worker — both within these budgets).
   EXPECT_LE(engine.input_cache_stats().peak_bytes, cfg.input_budget_bytes);
   EXPECT_LE(engine.output_cache_stats().peak_bytes, cfg.output_budget_bytes);
   set_parallel_thread_count(0);
@@ -369,6 +369,17 @@ TEST(ShardStreamEngine, BitIdenticalNonDividingTileSizes) {
 TEST(ShardStreamEngine, BitIdenticalDenseAndMostlyMissing) {
   replay_and_check_engine(48, 0.0, 16, 43, 4);
   replay_and_check_engine(48, 0.9, 16, 44, 4);
+}
+
+TEST(ShardStreamEngine, BudgetAtThePinnedFloorHoldsPeak) {
+  // Build and repair with each cache budget exactly at its pinned working
+  // set, so every load past the pins must evict: 7 bands of 16 (ragged
+  // last band), 1 to 4 band-pair workers.
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    replay_and_check_engine(100, 0.2, 16, 60 + threads, 3, threads,
+                            /*at_floor=*/true);
+  }
 }
 
 TEST(ShardStreamEngine, CleanEpochRepairsNothing) {

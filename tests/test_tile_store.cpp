@@ -18,6 +18,7 @@
 #include "core/severity.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "matrix_test_utils.hpp"
+#include "obs/metrics.hpp"
 #include "shard/tile_cache.hpp"
 #include "shard/tile_store.hpp"
 #include "util/parallel.hpp"
@@ -170,10 +171,9 @@ TEST(ShardSeverity, TinyBudgetForcesEvictionAndStaysWithinIt) {
   set_parallel_thread_count(2);
   const HostId n = 128;
   const std::uint32_t tile_dim = 16;
-  const std::size_t tile_bytes =
-      tile_dim * tile_dim * sizeof(float) + tile_dim * sizeof(std::uint64_t);
   expect_streamed_matches_in_memory(random_matrix(n, 0.1, 15), tile_dim,
-                                    8 * tile_bytes, true);
+                                    8 * TileStore::tile_bytes_for(tile_dim),
+                                    true);
   set_parallel_thread_count(0);
 }
 
@@ -423,21 +423,34 @@ TEST(TileCache, EvictsLeastRecentlyUsedButNeverPinned) {
   std::filesystem::remove(path);
 }
 
-TEST(TileCache, PrefetchLoadsInBackground) {
-  const DelayMatrix m = random_matrix(64, 0.1, 19);
-  const std::string path = scratch_path("prefetch");
-  TileStore::write_matrix(path, m, 16);
-  const TileStore store = TileStore::open(path);
-  TileCache cache(store, 1u << 20);
+TEST(ShardSeverity, WholeStoreBudgetReadsEachTileOnce) {
+  // With room for every tile, a streamed build reads each tile exactly
+  // once, on demand by the worker that needs it: misses == tiles and read
+  // bytes == the store's tile bytes. Any speculative reader would show up
+  // here as extra reads.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    set_parallel_thread_count(threads);
+    const DelayMatrix m = random_matrix(100, 0.2, 19);
+    const std::string path = scratch_path("whole_store");
+    TileStore::write_matrix(path, m, 16);
+    const TileStore store = TileStore::open(path);
+    const std::size_t tiles =
+        std::size_t{store.tiles_per_side()} * store.tiles_per_side();
+    TileCache cache(store, tiles * store.tile_bytes());
 
-  cache.prefetch(3, 3);
-  // acquire() waits for an in-flight background load of the same tile (or
-  // loads it itself if the hint was shed) — either way the tile arrives.
-  const auto tile = cache.acquire(3, 3);
-  EXPECT_NE(tile.get(), nullptr);
-  const DelayMatrixView view(m);
-  EXPECT_EQ(tile->row(0)[1], view.row(48)[49]);
-  std::filesystem::remove(path);
+    auto& registry = obs::MetricsRegistry::instance();
+    const obs::MetricsSnapshot before = registry.snapshot();
+    all_severities_streamed(store, cache);
+    const obs::MetricsSnapshot read = registry.snapshot().delta_since(before);
+    EXPECT_EQ(cache.stats().misses, tiles);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_EQ(read.counters.at("shard.input.reads"), tiles);
+    EXPECT_EQ(read.counters.at("shard.input.read_bytes"),
+              tiles * store.tile_bytes());
+    std::filesystem::remove(path);
+  }
+  set_parallel_thread_count(0);
 }
 
 }  // namespace
